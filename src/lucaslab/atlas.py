@@ -1,15 +1,16 @@
 """Bulk drivers: Wall-Sun-Sun-analogue scanning and the period atlas.
 
 All emission is deterministic: inputs are processed in ascending order and
-the writers use fixed field order, a fixed separator style, and "\n" line
-endings, so parsing an emitted file and re-emitting it reproduces the bytes.
+write_records, the one writer behind every command, uses fixed field order, a
+fixed separator style, and "\n" line endings, so parsing an emitted file and
+re-emitting it reproduces the bytes.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
 from sympy import primerange
@@ -96,16 +97,77 @@ def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
 
 
 # ---------------------------------------------------------------------------
-# Serialization. JSON is emitted one object per line; integers that can
-# outgrow a machine word (sequence terms) are rendered as decimal strings.
+# Serialization: one codec for every command. JSON is emitted one object per
+# line, keys in record order; integers that can outgrow a machine word
+# (sequence terms) are rendered as decimal strings by the caller. CSV has one
+# header line of fields; a cell is empty for None, true/false for a bool,
+# ";"-joined for a list and ":"-joined for a pair inside a list.
 # ---------------------------------------------------------------------------
 
 ATLAS_FIELDS = ("A", "B", "m", "pure", "tail_len", "cycle_len", "alpha")
 WSS_FIELDS = ("A", "B", "p", "k_p", "k_p2")
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+def _csv_cell(value: object) -> object:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ";".join(":".join(map(str, v)) if isinstance(v, (list, tuple)) else str(v)
+                        for v in value)
+    return value
+
+
+def write_records(records: Iterable[dict], fields: tuple[str, ...], sink: TextIO,
+                  fmt: str = "json") -> int:
+    """Stream records to sink as JSON lines or CSV columns `fields`; returns the count."""
+    count = 0
+    if fmt == "json":
+        for rec in records:
+            sink.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            count += 1
+    elif fmt == "csv":
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(fields)
+        for rec in records:
+            writer.writerow([_csv_cell(rec.get(f)) for f in fields])
+            count += 1
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return count
+
+
+def _csv_value(cell: str) -> bool | int | str:
+    if cell in ("true", "false"):
+        return cell == "true"
+    try:
+        return int(cell)
+    except ValueError:
+        return cell
+
+
+def read_records(text: str, fields: tuple[str, ...], fmt: str = "json") -> Iterator[dict]:
+    """Inverse of write_records for scalar cells, one dict per record.
+
+    JSON objects come back as written; a CSV row maps each field to its
+    cell, with "true"/"false" as bools, integers as ints and empty cells
+    left out.
+    """
+    if fmt == "json":
+        for line in text.splitlines():
+            yield json.loads(line)
+    elif fmt == "csv":
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader)
+        if tuple(header) != fields:
+            raise ValueError(f"unexpected header {header}, expected {list(fields)}")
+        for row in reader:
+            if len(row) != len(fields):
+                raise ValueError(f"expected {len(fields)} cells, got {row}")
+            yield {f: _csv_value(cell) for f, cell in zip(fields, row) if cell != ""}
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def atlas_row_obj(row: AtlasRow) -> dict:
@@ -117,96 +179,34 @@ def atlas_row_obj(row: AtlasRow) -> dict:
 
 
 def write_atlas(rows: Iterable[AtlasRow], sink: TextIO, fmt: str = "json") -> int:
-    """Write atlas rows as JSON lines or CSV; returns the row count."""
-    count = 0
-    if fmt == "json":
-        for row in rows:
-            sink.write(_json_line(atlas_row_obj(row)))
-            count += 1
-    elif fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(ATLAS_FIELDS)
-        for row in rows:
-            if row.error is not None:
-                writer.writerow([row.A, row.B, row.m, "", "", "", ""])
-            else:
-                writer.writerow([row.A, row.B, row.m,
-                                 "true" if row.pure else "false",
-                                 row.tail_len, row.cycle_len,
-                                 "" if row.alpha is None else row.alpha])
-            count += 1
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return count
+    """Write atlas rows as JSON lines or CSV; returns the row count.
+
+    A CSV error row keeps its key and leaves every other cell empty.
+    """
+    return write_records(map(atlas_row_obj, rows), ATLAS_FIELDS, sink, fmt)
 
 
 def parse_atlas(text: str, fmt: str = "json") -> list[AtlasRow]:
-    """Inverse of write_atlas; re-emitting the result reproduces the bytes."""
+    """Inverse of write_atlas; re-emitting the result reproduces the bytes.
+
+    CSV error rows carry no message and parse with error="budget".
+    """
     rows = []
-    if fmt == "json":
-        for line in text.splitlines():
-            obj = json.loads(line)
-            if "error" in obj:
-                rows.append(AtlasRow(A=obj["A"], B=obj["B"], m=obj["m"],
-                                     error=obj["error"]))
-            else:
-                rows.append(AtlasRow(A=obj["A"], B=obj["B"], m=obj["m"],
-                                     pure=obj["pure"], tail_len=obj["tail_len"],
-                                     cycle_len=obj["cycle_len"], alpha=obj["alpha"]))
-    elif fmt == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != ATLAS_FIELDS:
-            raise ValueError(f"unexpected atlas header {header}")
-        for rec in reader:
-            a, b, m, pure, tail, cyc, alpha = rec
-            if pure == "":
-                rows.append(AtlasRow(A=int(a), B=int(b), m=int(m), error="budget"))
-            else:
-                rows.append(AtlasRow(A=int(a), B=int(b), m=int(m),
-                                     pure=pure == "true", tail_len=int(tail),
-                                     cycle_len=int(cyc),
-                                     alpha=None if alpha == "" else int(alpha)))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    for rec in read_records(text, ATLAS_FIELDS, fmt):
+        if "error" in rec or "pure" not in rec:
+            rows.append(AtlasRow(A=rec["A"], B=rec["B"], m=rec["m"],
+                                 error=rec.get("error", "budget")))
+        else:
+            rows.append(AtlasRow(A=rec["A"], B=rec["B"], m=rec["m"], pure=rec["pure"],
+                                 tail_len=rec["tail_len"], cycle_len=rec["cycle_len"],
+                                 alpha=rec.get("alpha")))
     return rows
 
 
-def wss_finding_obj(f: WssFinding) -> dict:
-    return {"A": f.A, "B": f.B, "p": f.p, "k_p": f.k_p, "k_p2": f.k_p2}
-
-
 def write_wss(findings: Iterable[WssFinding], sink: TextIO, fmt: str = "json") -> int:
-    count = 0
-    if fmt == "json":
-        for f in findings:
-            sink.write(_json_line(wss_finding_obj(f)))
-            count += 1
-    elif fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(WSS_FIELDS)
-        for f in findings:
-            writer.writerow([f.A, f.B, f.p, f.k_p, f.k_p2])
-            count += 1
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return count
+    return write_records(map(asdict, findings), WSS_FIELDS, sink, fmt)
 
 
 def parse_wss(text: str, fmt: str = "json") -> list[WssFinding]:
-    findings = []
-    if fmt == "json":
-        for line in text.splitlines():
-            obj = json.loads(line)
-            findings.append(WssFinding(A=obj["A"], B=obj["B"], p=obj["p"],
-                                       k_p=obj["k_p"], k_p2=obj["k_p2"]))
-    elif fmt == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != WSS_FIELDS:
-            raise ValueError(f"unexpected wss header {header}")
-        for rec in reader:
-            findings.append(WssFinding(*(int(x) for x in rec)))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return findings
+    return [WssFinding(**{f: rec[f] for f in WSS_FIELDS})
+            for rec in read_records(text, WSS_FIELDS, fmt)]

@@ -10,14 +10,12 @@ CSV has one fixed header per record type and "\n" line endings.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from contextlib import nullcontext
-from typing import TextIO
+from dataclasses import asdict
 
-from .atlas import atlas_rows, write_atlas, write_wss, wss_scan
+from .atlas import atlas_rows, write_atlas, write_records, write_wss, wss_scan
 from .core import (
     DEFAULT_DIGIT_BUDGET,
     RecurrenceParams,
@@ -55,37 +53,6 @@ from .verify import VerifyConfig, parse_config, run_verification
 
 def _params(args: argparse.Namespace) -> RecurrenceParams:
     return RecurrenceParams(args.A, args.B)
-
-
-def _emit(records: list[dict], fields: tuple[str, ...], fmt: str, sink: TextIO) -> None:
-    """Write records as JSON lines or CSV with the given column order."""
-    if fmt == "json":
-        for rec in records:
-            sink.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(fields)
-    for rec in records:
-        row = []
-        for f in fields:
-            v = rec.get(f)
-            if v is None:
-                row.append("")
-            elif isinstance(v, bool):
-                row.append("true" if v else "false")
-            elif isinstance(v, (list, tuple)):
-                row.append(";".join(str(x) for x in v))
-            else:
-                row.append(v)
-        writer.writerow(row)
-
-
-def _ladder_json(ladder: tuple[tuple[int, int], ...]) -> list[list[int]]:
-    return [[e, k] for e, k in ladder]
-
-
-def _ladder_flat(ladder: tuple[tuple[int, int], ...]) -> str:
-    return ";".join(f"{e}:{k}" for e, k in ladder)
 
 
 def _inf_str(v: int | float | None) -> int | str | None:
@@ -135,10 +102,7 @@ def _cmd_rank(args):
 
 def _law_records(args, report) -> tuple[list[dict], tuple[str, ...], int]:
     rec = {"A": args.A, "B": args.B, "p": args.p, "e_max": args.e,
-           "ladder": _ladder_json(report.ladder), "t": report.t,
-           "law_holds": report.law_holds}
-    if args.format == "csv":
-        rec["ladder"] = _ladder_flat(report.ladder)
+           "ladder": report.ladder, "t": report.t, "law_holds": report.law_holds}
     return [rec], ("A", "B", "p", "e_max", "ladder", "t", "law_holds"), 0
 
 
@@ -185,11 +149,9 @@ def _cmd_power_div(args):
 def _cmd_div_seq(args):
     chk = divisibility_sequence_check(_params(args), args.a_max, args.b_max)
     rec = {"A": args.A, "B": args.B, "a_max": args.a_max, "b_max": args.b_max,
-           "holds": chk.holds, "degenerate": list(chk.degenerate),
-           "collision_indices": list(chk.collision_indices),
+           "holds": chk.holds, "degenerate": chk.degenerate,
+           "collision_indices": chk.collision_indices,
            "counterexamples": [[a, b] for a, b, *_ in chk.counterexamples[:10]]}
-    if args.format == "csv":
-        rec["counterexamples"] = ";".join(f"{a}:{b}" for a, b, *_ in chk.counterexamples[:10])
     return [rec], tuple(rec.keys()), 0
 
 
@@ -247,12 +209,38 @@ def _cmd_identities(args):
     return records, ("A", "B", "check", "case", "holds", "detail"), exit_code
 
 
+def _cmd_verify(args):
+    if args.config:
+        with open(args.config) as fh:
+            config = parse_config(fh.read())
+    else:
+        config = VerifyConfig()
+    records, summary = run_verification(config)
+    recs = [asdict(r) for r in records]
+    recs.append({"suite": "summary", "case": "", "holds": summary.ok,
+                 "classification": "summary",
+                 "detail": f"records={summary.records};passed={summary.passed};"
+                           f"failed={summary.failed};"
+                           f"known_exceptions={summary.known_exceptions}"})
+    return recs, ("suite", "case", "holds", "classification", "detail"), 0 if summary.ok else 1
+
+
 def _parse_range(text: str) -> list[int]:
     """Parse '2..5' (inclusive) or '2,3,7' into an integer list."""
     if ".." in text:
         lo, _, hi = text.partition("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(x) for x in text.split(",") if x.strip() != ""]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _open_out(path: str | None):
@@ -289,30 +277,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         with _open_out(args.out) as sink:
             write_atlas(rows, sink, args.format)
         return 0
-    if args.command == "verify":
-        if args.config:
-            with open(args.config) as fh:
-                config = parse_config(fh.read())
-        else:
-            config = VerifyConfig()
-        records, summary = run_verification(config)
-        recs = [{"suite": r.suite, "case": r.case, "holds": r.holds,
-                 "classification": r.classification, "detail": r.detail}
-                for r in records]
-        recs.append({"suite": "summary", "case": "", "holds": summary.ok,
-                     "classification": "summary",
-                     "detail": f"records={summary.records};passed={summary.passed};"
-                               f"failed={summary.failed};"
-                               f"known_exceptions={summary.known_exceptions}"})
-        with _open_out(args.out) as sink:
-            _emit(recs, ("suite", "case", "holds", "classification", "detail"),
-                  args.format, sink)
-        return 0 if summary.ok else 1
-
     handler = _HANDLERS[args.command]
     records, fields, code = handler(args)
     with _open_out(args.out) as sink:
-        _emit(records, fields, args.format, sink)
+        write_records(records, fields, sink, args.format)
     return code
 
 
@@ -331,6 +299,7 @@ _HANDLERS = {
     "zeros": _cmd_zeros,
     "bound": _cmd_bound,
     "identities": _cmd_identities,
+    "verify": _cmd_verify,
 }
 
 
@@ -348,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default json lines)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH (default stdout)")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=_positive_int, default=None,
                         help="override the scan/exact-term budget")
 
     ab = argparse.ArgumentParser(add_help=False)

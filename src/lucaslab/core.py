@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from sympy import isprime
+
 from .errors import BudgetExceededError
 
 DEFAULT_DIGIT_BUDGET = 10**6
@@ -72,6 +74,16 @@ def term_pair(params: RecurrenceParams, n: int) -> tuple[int, int]:
 def term(params: RecurrenceParams, n: int) -> int:
     """Return e(n) exactly; e(0) = 0, e(1) = 1."""
     return term_pair(params, n)[0]
+
+
+def terms(params: RecurrenceParams, count: int) -> list[int]:
+    """Return [e(0), e(1), ..., e(count)] by direct iteration, O(count) additions."""
+    values = [0]
+    prev, cur = 0, 1
+    for _ in range(count):
+        values.append(cur)
+        prev, cur = cur, params.A * cur + params.B * prev
+    return values
 
 
 def companion(params: RecurrenceParams, n: int) -> int:
@@ -138,3 +150,21 @@ def check_term_budget(params: RecurrenceParams, n: int,
         raise BudgetExceededError(
             f"term index {n} for {params} is ~{est} digits, over the budget of {digit_budget}"
         )
+
+
+def _nu(x: int, p: int) -> int | float:
+    if x == 0:
+        return math.inf
+    x = abs(x)
+    k = 0
+    while x % p == 0:
+        x //= p
+        k += 1
+    return k
+
+
+def valuation(x: int, p: int) -> int | float:
+    """Largest k with p^k | x; math.inf for x = 0. Rejects composite p."""
+    if not isprime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return _nu(x, p)

@@ -15,29 +15,15 @@ from sympy import factorint, isprime
 from .core import (
     DEFAULT_DIGIT_BUDGET,
     RecurrenceParams,
+    _nu,
     check_term_budget,
     term,
     term_pair,
+    terms,
+    valuation,  # noqa: F401  (re-exported: lucaslab.divisibility.valuation)
 )
 from .errors import BudgetExceededError, DegenerateSequenceError, RankNotFoundError
-
-
-def _nu(x: int, p: int) -> int | float:
-    if x == 0:
-        return math.inf
-    x = abs(x)
-    k = 0
-    while x % p == 0:
-        x //= p
-        k += 1
-    return k
-
-
-def valuation(x: int, p: int) -> int | float:
-    """Largest k with p^k | x; math.inf for x = 0. Rejects composite p."""
-    if not isprime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    return _nu(x, p)
+from .modular import rank
 
 
 def _require_coprime(params: RecurrenceParams) -> None:
@@ -71,20 +57,11 @@ def repetition_law_check(params: RecurrenceParams, p: int,
     if params.B % p == 0:
         raise ValueError(f"p = {p} divides B = {params.B}; the law assumes p does not divide B")
 
-    # Rank of apparition mod p by direct pair iteration.
-    A, B = params.A % p, params.B % p
-    x, y = 0, 1 % p
-    alpha = None
-    rank_cap = scan_bound if scan_bound else p * p + 1
-    for n in range(1, rank_cap + 1):
-        x, y = y, (A * y + B * x) % p
-        if x == 0:
-            alpha = n
-            break
-    if alpha is None:
-        raise RankNotFoundError(f"no zero of e(n) mod {p} for n <= {rank_cap}")
-
-    base_val = valuation(term(params, alpha), p)
+    report = rank(params, p)
+    alpha, base_val = report.alpha, report.valuation_at_alpha
+    assert alpha is not None  # p does not divide B, so the orbit returns to (0, 1)
+    if scan_bound and alpha > scan_bound:
+        raise RankNotFoundError(f"no zero of e(n) mod {p} for n <= {scan_bound}")
     if base_val == math.inf:
         raise DegenerateSequenceError(
             f"e({alpha}) = 0 exactly for {params}; prime-power repetition is vacuous"
@@ -145,12 +122,7 @@ def square_divisibility_check(params: RecurrenceParams, n: int, m_max: int,
     check_term_budget(params, n * m_max, digit_budget)
     square = e_n * e_n
     counterexamples = []
-    # One incremental pass; all needed indices are below n*m_max.
-    prev, cur = 0, 1
-    values = [0]
-    for _ in range(n * m_max):
-        values.append(cur)
-        prev, cur = cur, params.A * cur + params.B * prev
+    values = terms(params, n * m_max)
     for m in range(1, m_max + 1):
         lhs = values[n * m] % square == 0
         rhs = m % abs(e_n) == 0
@@ -212,9 +184,7 @@ def divisibility_sequence_check(params: RecurrenceParams, a_max: int,
     _require_coprime(params)
     if a_max < 1 or b_max < 1:
         raise ValueError("a_max and b_max must be positive")
-    values = [0, 1]
-    while len(values) <= max(a_max, b_max):
-        values.append(params.A * values[-1] + params.B * values[-2])
+    values = terms(params, max(a_max, b_max))
     degenerate = tuple(a for a in range(1, a_max + 1) if abs(values[a]) <= 1)
     counterexamples = []
     for a in range(1, a_max + 1):

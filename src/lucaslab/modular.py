@@ -8,12 +8,12 @@ a tail before entering its cycle.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from sympy import factorint, isprime
 
-from .core import RecurrenceParams, term
-from .divisibility import valuation
+from .core import RecurrenceParams, _nu, term
 from .errors import BudgetExceededError, NoPurePeriodError
 
 DEFAULT_STATE_BUDGET = 10**8
@@ -119,27 +119,52 @@ def _check_state_budget(m: int, state_budget: int) -> None:
 
 
 def _pair_orbit(params: RecurrenceParams, m: int,
-                state_budget: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """First-repeat scan of the pair orbit from (0, 1).
+                state_budget: int) -> tuple[int, int, array | list[int]]:
+    """Walk the pair orbit of (0, 1) mod m up to its first repeated state.
 
-    Returns (tail_len, cycle_len, states), where states lists the orbit up to
-    but not including the first repeated state. Stored-state lookup gives the
-    minimal tail and cycle in one pass; Floyd/Brent would need a second pass
-    to recover minimality.
+    Returns (tail_len, cycle_len, xs) with xs[n] = e(n) mod m for
+    n < tail_len + cycle_len; beyond that, e(n) = e(tail_len + (n - tail_len)
+    % cycle_len). This is the only place the step is written out; every
+    period, rank, zero and cycle law is read off its result.
+
+    When gcd(B, m) = 1 the orbit is purely periodic, so the walk just waits
+    for (0, 1) to come back. Otherwise a stored-state lookup finds the minimal
+    tail and cycle in one pass (Floyd/Brent would need a second pass).
     """
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
     _check_state_budget(m, state_budget)
     A, B = params.A % m, params.B % m
-    seen: dict[tuple[int, int], int] = {}
-    states: list[tuple[int, int]] = []
-    x, y = 0, 1 % m
-    i = 0
-    while (x, y) not in seen:
-        seen[(x, y)] = i
-        states.append((x, y))
+    # Residues are kept as machine words when they fit: a pure orbit can have
+    # nearly m^2 states.
+    xs = array("q") if m <= 1 << 63 else []
+    append = xs.append
+    x, y = 0, 1
+    if math.gcd(B, m) == 1:
+        while True:
+            append(x)
+            x, y = y, (A * y + B * x) % m
+            if x == 0 and y == 1:
+                return 0, len(xs), xs
+    seen: dict[int, int] = {}
+    while (key := x * m + y) not in seen:
+        seen[key] = len(xs)
+        append(x)
         x, y = y, (A * y + B * x) % m
-        i += 1
-    first = seen[(x, y)]
-    return first, i - first, states
+    tail = seen[key]
+    if tail == 0:
+        raise RuntimeError(
+            f"internal invariant broken: tail=0 but gcd(B, m)={math.gcd(params.B, m)}"
+        )
+    return tail, len(xs) - tail, xs
+
+
+def _first_zero(tail: int, cycle: int, xs: array | list[int]) -> int | None:
+    """Least n >= 1 with e(n) = 0 in a _pair_orbit result, or None if there is none."""
+    for n in range(1, tail + cycle):
+        if xs[n] == 0:
+            return n
+    return tail + cycle if xs[tail] == 0 else None
 
 
 def cycle_structure(params: RecurrenceParams, m: int,
@@ -149,13 +174,7 @@ def cycle_structure(params: RecurrenceParams, m: int,
     Scans at most m^2 + 1 states; refuses moduli whose worst case exceeds
     state_budget.
     """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
     tail, cyc, _ = _pair_orbit(params, m, state_budget)
-    if (tail == 0) != (math.gcd(params.B, m) == 1):
-        raise RuntimeError(
-            f"internal invariant broken: tail={tail} but gcd(B, m)={math.gcd(params.B, m)}"
-        )
     return CycleStructure(modulus=m, tail_len=tail, cycle_len=cyc)
 
 
@@ -172,18 +191,7 @@ def period(params: RecurrenceParams, m: int,
             f"gcd(B, m) = {math.gcd(params.B, m)} != 1 for {params}, m={m}; "
             "no pure period exists, use cycle_structure"
         )
-    _check_state_budget(m, state_budget)
-    # Pure orbit: loop straight back to (0, 1), no bookkeeping needed.
-    A, B = params.A % m, params.B % m
-    x, y = 1 % m, A
-    k = 1
-    limit = m * m + 1
-    while (x, y) != (0, 1 % m):
-        x, y = y, (A * y + B * x) % m
-        k += 1
-        if k > limit:
-            raise RuntimeError(f"no return to (0, 1) within {limit} steps; impossible")
-    return k
+    return _pair_orbit(params, m, state_budget)[1]
 
 
 @dataclass(frozen=True)
@@ -203,21 +211,13 @@ class RankReport:
 def rank(params: RecurrenceParams, m: int,
          state_budget: int = DEFAULT_STATE_BUDGET) -> RankReport:
     """Least n >= 1 with e(n) = 0 (mod m), scanning one tail plus one cycle."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    tail, cyc, states = _pair_orbit(params, m, state_budget)
-    alpha = None
-    for n in range(1, tail + cyc + 1):
-        x = states[n][0] if n < len(states) else states[tail + (n - tail) % cyc][0]
-        if x == 0:
-            alpha = n
-            break
+    alpha = _first_zero(*_pair_orbit(params, m, state_budget))
     val: int | float | None = None
     if alpha is not None:
         fac = factorint(m)
         if len(fac) == 1:
             (p, _), = fac.items()
-            val = valuation(term(params, alpha), p)
+            val = _nu(term(params, alpha), p)
     return RankReport(modulus=m, alpha=alpha, valuation_at_alpha=val)
 
 
@@ -244,17 +244,11 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
         raise NoPurePeriodError(
             f"gcd(B, m) != 1 for {params}, m={m}; zero indices need the pure regime"
         )
-    report = rank(params, m, state_budget=state_budget)
-    assert report.alpha is not None  # guaranteed in the pure regime
-    alpha = report.alpha
+    _, k, xs = _pair_orbit(params, m, state_budget)
+    alpha = _first_zero(0, k, xs)
+    assert alpha is not None  # e(k) = e(0) = 0 in the pure regime
+    zeros = {n for n in range(1, limit + 1) if xs[n % k] == 0}
     expected = set(range(alpha, limit + 1, alpha))
-    zeros = set()
-    A, B = params.A % m, params.B % m
-    x, y = 0, 1 % m
-    for n in range(1, limit + 1):
-        x, y = y, (A * y + B * x) % m
-        if x == 0:
-            zeros.add(n)
     holds = zeros == expected
     first_violation = min(zeros ^ expected) if not holds else None
     return ZeroProgressionCheck(modulus=m, limit=limit, alpha=alpha,
@@ -305,17 +299,9 @@ def _squares_period(params: RecurrenceParams, m: int, state_budget: int) -> int:
     The squares sequence inherits the pair period K, so its minimal period is
     the smallest divisor d of K that shifts the squared orbit onto itself.
     """
-    k = period(params, m, state_budget=state_budget)
-    sq = []
-    A, B = params.A % m, params.B % m
-    x, y = 0, 1 % m
-    for _ in range(k):
-        sq.append(x * x % m)
-        x, y = y, (A * y + B * x) % m
-    for d in sorted(d for d in range(1, k + 1) if k % d == 0):
-        if all(sq[n] == sq[(n + d) % k] for n in range(k)):
-            return d
-    return k
+    _, k, xs = _pair_orbit(params, m, state_budget)
+    sq = [x * x % m for x in xs]
+    return next(d for d in range(1, k + 1) if k % d == 0 and sq[d:] + sq[:d] == sq)
 
 
 def squares_period_law_report(params: RecurrenceParams, p: int, e_max: int,
@@ -374,13 +360,11 @@ def cycle_entry_check(params: RecurrenceParams, m: int,
                       state_budget: int = DEFAULT_STATE_BUDGET) -> CycleEntryCheck:
     """Compare cycle_entry_prediction against the actual cycle content mod m."""
     predicted = cycle_entry_prediction(params, m)  # also validates gcd(B, m) != 1
-    tail, cyc, states = _pair_orbit(params, m, state_budget)
-    cycle_states = states[tail:]
-    target = (1 % m, params.A % m)
-    observed = None
-    if target in cycle_states:
-        i = cycle_states.index(target)
-        observed = cycle_states[(i - 1) % cyc][0]
+    tail, cyc, xs = _pair_orbit(params, m, state_budget)
+    cycle, a = xs[tail:], params.A % m
+    # The residue before the pair (1, A) on the cycle; cycle pairs are distinct.
+    observed = next((cycle[j - 1] for j in range(cyc)
+                     if cycle[j] == 1 and cycle[(j + 1) % cyc] == a), None)
     consistent = (observed is None and predicted is None) or (observed == predicted)
     return CycleEntryCheck(modulus=m, predicted=predicted,
                            pair_on_cycle=observed is not None,

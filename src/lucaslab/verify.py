@@ -26,6 +26,7 @@ from .core import (
     companion,
     seeded_term,
     term_pair,
+    terms,
 )
 from .divisibility import (
     divisibility_sequence_check,
@@ -154,19 +155,12 @@ def _known(suite: str, case: str, detail: str) -> CheckRecord:
     return CheckRecord(suite, case, False, "known-exception", detail)
 
 
-def _terms(params: RecurrenceParams, count: int) -> list[int]:
-    xs = [0, 1]
-    while len(xs) <= count:
-        xs.append(params.A * xs[-1] + params.B * xs[-2])
-    return xs
-
-
 # --- exact-arithmetic suites -------------------------------------------------
 
 def _suite_addition_identity(config: VerifyConfig) -> Iterator[CheckRecord]:
     name = "addition_identity"
     for params in config.grid():
-        e = _terms(params, 81)
+        e = terms(params, 81)
         bad = next(((n, t) for n in range(41) for t in range(1, 41)
                     if e[n + t] != e[n + 1] * e[t] + params.B * e[n] * e[t - 1]), None)
         if bad:
@@ -178,7 +172,7 @@ def _suite_addition_identity(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_doubling_consistency(config: VerifyConfig) -> Iterator[CheckRecord]:
     name = "doubling_consistency"
     for params in config.grid():
-        e = _terms(params, 65)
+        e = terms(params, 65)
         bad = next((n for n in range(65) if term_pair(params, n) != (e[n], e[n + 1])), None)
         if bad is None:
             yield _ok(name, str(params), "n <= 64 agrees with iteration")
@@ -201,7 +195,7 @@ def _suite_companion_recurrence(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_recurrence_space(config: VerifyConfig) -> Iterator[CheckRecord]:
     name = "recurrence_space"
     for params in config.grid():
-        e = _terms(params, 36)
+        e = terms(params, 36)
         bad = None
         for r in range(-3, 4):
             for s in range(-3, 4):
@@ -289,7 +283,7 @@ def _suite_gcd_companion(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_term_mod_agreement(config: VerifyConfig) -> Iterator[CheckRecord]:
     name = "term_mod_agreement"
     for params in config.grid():
-        e = _terms(params, 200)
+        e = terms(params, 200)
         bad = next(((n, m) for m in range(2, 51) for n in range(201)
                     if term_mod(params, n, m) != e[n] % m), None)
         if bad is None:

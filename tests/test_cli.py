@@ -224,6 +224,15 @@ def test_budget_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_must_be_positive(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["period", "-A", "1", "-B", "1", "-m", "100", "--budget", value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"--budget: expected a positive integer, got '{value}'" in err
+
+
 def test_console_script_installed():
     out = subprocess.run([sys.executable, "-m", "lucaslab.cli", "--help"],
                          capture_output=True, text=True)
@@ -263,3 +272,29 @@ def test_csv_output_reparse_reemit_identical(capsys):
     sink = io.StringIO()
     csv_mod.writer(sink, lineterminator="\n").writerows(rows)
     assert sink.getvalue() == out
+
+
+# --- CSV cells: None empty, bools true/false, lists ";"-joined, pairs ":"-joined ---
+
+@pytest.mark.parametrize("argv, line", [
+    ("period-law -A 1 -B 1 --p 2 --e 4", "1,1,2,4,1:3;2:6;3:12;4:24,1,true"),
+    ("div-seq -A -3 -B -5 --a-max 4 --b-max 10", "-3,-5,4,10,false,1,4,4:2;4:6;4:10"),
+    ("div-seq -A 1 -B -1 --a-max 12 --b-max 36",
+     "1,-1,12,36,true,1;2;3;4;5;6;7;8;9;10;11;12,,"),
+    ("power-div -A 5 -B 4 -n 6 --limit 2 --budget 30000", "5,4,6,2,true,,2"),
+    ("atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 10000", "1,1,1000,,,,"),
+])
+def test_csv_cells_byte_exact(capsys, argv, line):
+    code, out = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == line
+
+
+def test_atlas_json_error_row_keeps_message(capsys):
+    code, out = run_cli(capsys, "atlas", "--A-range", "1", "--B-range", "1",
+                        "--m-range", "3,1000", "--budget", "10000")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {
+        "A": 1, "B": 1, "m": 1000,
+        "error": "modulus 1000 needs up to 1000000 pair states, over the budget of 10000",
+    }

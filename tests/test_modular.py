@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucaslab import (
     BudgetExceededError,
@@ -22,6 +24,7 @@ from lucaslab import (
     term_mod,
     zero_indices_check,
 )
+from lucaslab.modular import _squares_period
 
 from .conftest import grid_params, naive_pair_orbit, naive_period, naive_terms
 
@@ -295,3 +298,45 @@ def test_rank_alpha_lies_within_orbit():
             rep = rank(params, m)
             if rep.alpha is not None:
                 assert term(params, rep.alpha) % m == 0
+
+
+# --- every orbit law against one naive walk ------------------------------------
+
+@given(a=st.integers(-9, 9), b=st.integers(-9, 9).filter(lambda x: x != 0),
+       m=st.integers(2, 400), limit=st.integers(1, 600))
+@settings(max_examples=200, deadline=None)
+def test_orbit_laws_match_naive_walk(a, b, m, limit):
+    params = RecurrenceParams(a, b)
+    tail, cyc, states = naive_pair_orbit(a, b, m)
+    zeros = [n for n, (x, _) in enumerate(states) if n >= 1 and x == 0]
+    if states[tail][0] == 0:
+        zeros.append(tail + cyc)  # e(tail + cyc) = e(tail) closes the orbit
+    alpha = zeros[0] if zeros else None
+
+    cs = cycle_structure(params, m)
+    assert (cs.tail_len, cs.cycle_len) == (tail, cyc)
+    assert rank(params, m).alpha == alpha
+    if tail:
+        with pytest.raises(NoPurePeriodError):
+            period(params, m)
+        target = (1 % m, a % m)
+        cycle_states = states[tail:]
+        observed = None
+        if target in cycle_states:
+            observed = cycle_states[cycle_states.index(target) - 1][0]
+        assert cycle_entry_check(params, m).observed == observed
+        return
+
+    assert period(params, m) == cyc
+    walked, x, y = set(), 0, 1 % m
+    for n in range(1, limit + 1):
+        x, y = y, (a * y + b * x) % m
+        if x == 0:
+            walked.add(n)
+    off = walked ^ set(range(alpha, limit + 1, alpha))
+    chk = zero_indices_check(params, m, limit)
+    assert (chk.alpha, chk.holds) == (alpha, not off)
+    assert chk.first_violation == (min(off) if off else None)
+    sq = [x * x % m for x, _ in states]
+    assert _squares_period(params, m, 10**8) == next(
+        d for d in range(1, cyc + 1) if all(sq[n] == sq[(n + d) % cyc] for n in range(cyc)))
