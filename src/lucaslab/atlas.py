@@ -17,7 +17,7 @@ from sympy import primerange
 
 from .core import RecurrenceParams
 from .errors import BudgetExceededError
-from .modular import DEFAULT_STATE_BUDGET, _mat_pow, cycle_structure, period, rank
+from .modular import DEFAULT_STATE_BUDGET, _first_zero, _mat_pow, _pair_orbit, period
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,12 @@ def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
             params = RecurrenceParams(A, B)
             for m in m_sorted:
                 try:
-                    cs = cycle_structure(params, m, state_budget=state_budget)
-                    rr = rank(params, m, state_budget=state_budget)
+                    tail, cyc, xs = _pair_orbit(params, m, state_budget)
                 except BudgetExceededError as exc:
                     yield AtlasRow(A=A, B=B, m=m, error=str(exc))
                     continue
-                yield AtlasRow(A=A, B=B, m=m, pure=cs.pure, tail_len=cs.tail_len,
-                               cycle_len=cs.cycle_len, alpha=rr.alpha)
+                yield AtlasRow(A=A, B=B, m=m, pure=tail == 0, tail_len=tail,
+                               cycle_len=cyc, alpha=_first_zero(tail, cyc, xs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .core import (
     terms,
     valuation,  # noqa: F401  (re-exported: lucaslab.divisibility.valuation)
 )
-from .errors import BudgetExceededError, DegenerateSequenceError, RankNotFoundError
-from .modular import rank
+from .errors import DegenerateSequenceError, RankNotFoundError
+from .modular import rank, term_mod
 
 
 def _require_coprime(params: RecurrenceParams) -> None:
@@ -69,20 +69,11 @@ def repetition_law_check(params: RecurrenceParams, p: int,
     assert isinstance(base_val, int)
 
     bound = scan_bound if scan_bound else 2 * p * alpha
-    # Zeros mod p sit exactly at multiples of alpha, so step the exact pair
-    # (e(s), e(s+1)) forward by alpha using the addition rule.
-    e_am1, e_a = term_pair(params, alpha - 1)
-    e_a1 = params.A * e_a + params.B * e_am1
-    ex, ey = e_a, e_a1  # (e(alpha), e(alpha+1))
-    observed = None
-    j = 1
-    while (j + 1) * alpha <= bound:
-        ex, ey = (ey * e_a + params.B * ex * e_am1,
-                  ey * e_a1 + params.B * ex * e_a)
-        j += 1
-        if _nu(ex, p) >= base_val + 1:
-            observed = j * alpha
-            break
+    # Zeros mod p sit exactly at multiples of alpha, so only those can carry
+    # the higher power p^(base_val + 1).
+    higher = p ** (base_val + 1)
+    observed = next((j for j in range(2 * alpha, bound + 1, alpha)
+                     if term_mod(params, j, higher) == 0), None)
     val_at_pn = _nu(term(params, p * alpha), p)
     holds = observed == p * alpha and val_at_pn == base_val + 1
     return RepetitionLawReport(
@@ -100,14 +91,12 @@ def repetition_law_check(params: RecurrenceParams, p: int,
 class DivisibilityCheck:
     """Verdict plus counterexamples for one of the divisibility biconditionals.
 
-    degenerate lists indices exempted as trivial (|e(index)| <= 1);
-    skipped lists work refused by the exact-term budget.
+    degenerate lists indices exempted as trivial (|e(index)| <= 1).
     """
 
     holds: bool
     counterexamples: tuple = ()
     degenerate: tuple = ()
-    skipped: tuple = ()
 
 
 def square_divisibility_check(params: RecurrenceParams, n: int, m_max: int,
@@ -132,33 +121,25 @@ def square_divisibility_check(params: RecurrenceParams, n: int, m_max: int,
                              counterexamples=tuple(counterexamples))
 
 
-def power_divisibility_check(params: RecurrenceParams, n: int, k_max: int,
-                             digit_budget: int = DEFAULT_DIGIT_BUDGET) -> DivisibilityCheck:
+def power_divisibility_check(params: RecurrenceParams, n: int, k_max: int) -> DivisibilityCheck:
     """Check e(n)^(k+1) | e(n * e(n)^k) for k = 1..k_max.
 
-    Indices grow like |e(n)|^k, so each k is budget-checked first and skipped
-    (reported, not failed) when e(n * e(n)^k) would be astronomically large.
+    Each k is one residue: e(n * e^k) mod e^(k+1) with e = |e(n)|, so the
+    astronomically large term itself is never built.
     """
     _require_coprime(params)
     if n < 1 or k_max < 1:
         raise ValueError("n and k_max must be positive")
-    e_n = term(params, n)
-    if abs(e_n) <= 1:
+    e_n = abs(term(params, n))
+    if e_n <= 1:
         return DivisibilityCheck(holds=True, degenerate=(n,))
     counterexamples = []
-    skipped = []
     for k in range(1, k_max + 1):
-        index = n * abs(e_n) ** k
-        try:
-            check_term_budget(params, index, digit_budget)
-        except BudgetExceededError:
-            skipped.append((k, index))
-            continue
-        if term(params, index) % abs(e_n) ** (k + 1) != 0:
+        index = n * e_n ** k
+        if term_mod(params, index, e_n ** (k + 1)) != 0:
             counterexamples.append((k, index))
     return DivisibilityCheck(holds=not counterexamples,
-                             counterexamples=tuple(counterexamples),
-                             skipped=tuple(skipped))
+                             counterexamples=tuple(counterexamples))
 
 
 @dataclass(frozen=True)
@@ -230,7 +211,7 @@ def _trailing_zeros_of(value: int, base: int, base_factors: dict[int, int]) -> i
     if stripped != by_valuation:
         raise RuntimeError(
             f"digit stripping ({stripped}) disagrees with the valuation formula "
-            f"({by_valuation}) for value with {len(str(abs(value)))} digits in base {base}"
+            f"({by_valuation}) for a {value.bit_length()}-bit value in base {base}"
         )
     return stripped
 

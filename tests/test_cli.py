@@ -9,6 +9,8 @@ import pytest
 
 from lucaslab.cli import main
 
+from .conftest import naive_terms
+
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = main(list(argv))
@@ -168,7 +170,7 @@ def test_verify_with_config(tmp_path, capsys):
 
 def test_verify_empty_grid(tmp_path, capsys):
     config = tmp_path / "verify.cfg"
-    config.write_text("A_min = 3\nA_max = 2\n")
+    config.write_text("B_min = 0\nB_max = 0\n")    # B = 0 is never a grid pair
     code, out = run_cli(capsys, "verify", "--config", str(config))
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
@@ -222,6 +224,21 @@ def test_budget_exit_3(capsys):
     code = main(["term", "-A", "1", "-B", "1", "-n", "10000000000", "--budget", "100"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_reversed_range_exit_2(capsys):
+    code = main(["atlas", "--A-range", "5..1", "--B-range", "1", "--m-range", "2..5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "reversed range '5..1'" in captured.err
+
+
+def test_term_past_int_str_limit(capsys):
+    # e(30000) has 6,270 digits, past CPython's default 4,300-digit limit
+    # for int-to-str conversion but far under the digit budget.
+    code, out = run_cli(capsys, "term", "-A", "1", "-B", "1", "-n", "30000")
+    assert code == 0
+    assert json.loads(out)["term"] == str(naive_terms(1, 1, 30000)[30000])
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -281,7 +298,7 @@ def test_csv_output_reparse_reemit_identical(capsys):
     ("div-seq -A -3 -B -5 --a-max 4 --b-max 10", "-3,-5,4,10,false,1,4,4:2;4:6;4:10"),
     ("div-seq -A 1 -B -1 --a-max 12 --b-max 36",
      "1,-1,12,36,true,1;2;3;4;5;6;7;8;9;10;11;12,,"),
-    ("power-div -A 5 -B 4 -n 6 --limit 2 --budget 30000", "5,4,6,2,true,,2"),
+    ("power-div -A 5 -B 4 -n 6 --limit 2", "5,4,6,2,true,"),
     ("atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 10000", "1,1,1000,,,,"),
 ])
 def test_csv_cells_byte_exact(capsys, argv, line):

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lucaslab import (
     DegenerateSequenceError,
@@ -19,6 +21,19 @@ from lucaslab import (
 )
 
 from .conftest import naive_terms
+
+COPRIME_PAIRS = [(a, b) for a in range(-4, 5) for b in range(-4, 5)
+                 if b != 0 and math.gcd(a, b) == 1]
+
+
+def _naive_nu(value: int, p: int) -> int | float:
+    if value == 0:
+        return math.inf
+    v = 0
+    while value % p == 0:
+        value //= p
+        v += 1
+    return v
 
 
 # --- valuation ---------------------------------------------------------------
@@ -100,6 +115,26 @@ def test_repetition_next_rank_is_multiple_of_base():
             assert rep.observed_next_rank % rep.base_rank == 0
 
 
+@given(ab=st.sampled_from(COPRIME_PAIRS), p=st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=100, deadline=None)
+def test_repetition_scan_matches_exact_terms(ab, p):
+    a, b = ab
+    assume(b % p != 0)
+    e = naive_terms(a, b, 2 * p * p * p)  # alpha(p) <= p^2 - 1
+    alpha = next(n for n in range(1, len(e)) if e[n] % p == 0)
+    base_val = _naive_nu(e[alpha], p)
+    if base_val == math.inf:
+        with pytest.raises(DegenerateSequenceError):
+            repetition_law_check(RecurrenceParams(a, b), p)
+        return
+    observed = next((j for j in range(2 * alpha, 2 * p * alpha + 1, alpha)
+                     if _naive_nu(e[j], p) >= base_val + 1), None)
+    rep = repetition_law_check(RecurrenceParams(a, b), p)
+    assert (rep.base_rank, rep.base_valuation) == (alpha, base_val)
+    assert rep.observed_next_rank == observed
+    assert rep.observed_valuation_at_pn == _naive_nu(e[p * alpha], p)
+
+
 # --- square divisibility (e(n)^2 | e(nm) iff e(n) | m) -------------------------
 
 def test_square_divisibility_fibonacci(fib):
@@ -140,7 +175,7 @@ def test_square_divisibility_over_grid():
 def test_power_divisibility_fibonacci(fib):
     assert power_divisibility_check(fib, 5, 1).holds
     chk = power_divisibility_check(fib, 4, 2)
-    assert chk.holds and not chk.skipped    # 9 | e(12) = 144, 27 | e(36)
+    assert chk.holds    # 9 | e(12) = 144, 27 | e(36)
 
 
 def test_power_divisibility_degenerate_n1(fib):
@@ -148,17 +183,33 @@ def test_power_divisibility_degenerate_n1(fib):
     assert chk.holds and chk.degenerate == (1,)
 
 
-def test_power_divisibility_budget_skip():
-    # (5, 4): e(6) = 5369, so k = 2 needs index 6 * 5369^2, far over budget;
-    # k = 1 (index 32214, ~24k digits) still gets computed.
-    chk = power_divisibility_check(RecurrenceParams(5, 4), 6, 2, digit_budget=3 * 10**4)
-    assert chk.holds
-    assert [k for k, _ in chk.skipped] == [2]
+def test_power_divisibility_checks_astronomical_index():
+    # (5, 4): e(6) = 5365, so k = 2 asks about e(6 * 5365^2), a term of ~10^8
+    # digits; it is tested by its residue mod 5365^3, and the law holds.
+    chk = power_divisibility_check(RecurrenceParams(5, 4), 6, 2)
+    assert term(RecurrenceParams(5, 4), 6) == 5365
+    assert chk.holds and chk.counterexamples == () and chk.degenerate == ()
 
 
 def test_power_divisibility_exact_witness(fib):
     assert term(fib, 36) == 14930352
     assert 14930352 % 27 == 0
+
+
+@given(ab=st.sampled_from(COPRIME_PAIRS), n=st.integers(1, 5), k_max=st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_power_divisibility_matches_exact_terms(ab, n, k_max):
+    a, b = ab
+    e_n = abs(naive_terms(a, b, n)[n])
+    assume(n * e_n ** k_max <= 3000)
+    chk = power_divisibility_check(RecurrenceParams(a, b), n, k_max)
+    if e_n <= 1:
+        assert chk.holds and chk.degenerate == (n,)
+        return
+    e = naive_terms(a, b, n * e_n ** k_max)
+    expected = tuple((k, n * e_n ** k) for k in range(1, k_max + 1)
+                     if e[n * e_n ** k] % e_n ** (k + 1) != 0)
+    assert chk.counterexamples == expected and chk.holds == (not expected)
 
 
 # --- divisibility sequence (e(a) | e(b) iff a | b) ------------------------------

@@ -46,6 +46,12 @@ def test_parse_config_rejects_bad_value():
         parse_config("A_min = banana\n")
 
 
+@pytest.mark.parametrize("text", ["A_min = 2\nA_max = 1\n", "B_min = 5\nB_max = -5\n"])
+def test_parse_config_rejects_reversed_grid(text):
+    with pytest.raises(ValueError, match="reversed grid"):
+        parse_config(text)
+
+
 def test_empty_grid_passes_vacuously():
     cfg = VerifyConfig(a_min=1, a_max=0)
     records, summary = run_verification(cfg)
