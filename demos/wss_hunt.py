@@ -3,8 +3,10 @@
 For Fibonacci, whether such a prime exists is a famous open question (none
 below 10^4 here, and none are known at all). Other families do have them:
 the Pell family has two below 50. The scan computes k(p) directly and then
-asks one matrix power whether the companion matrix already has that order
-mod p^2; that single test replaces a scan of up to p * k(p) further steps.
+asks one fast-doubling term pair whether (e(k), e(k+1)) is already (0, 1)
+mod p^2 at k = k(p), i.e. whether the companion matrix already has that
+order mod p^2; that single test replaces a scan of up to p * k(p) further
+steps.
 """
 import time
 

@@ -15,9 +15,9 @@ from typing import Iterable, Iterator, TextIO
 
 from sympy import primerange
 
-from .core import RecurrenceParams
+from .core import RecurrenceParams, term_pair
 from .errors import BudgetExceededError
-from .modular import DEFAULT_STATE_BUDGET, _first_zero, _mat_pow, _pair_orbit, period
+from .modular import DEFAULT_STATE_BUDGET, _first_zero, _pair_orbit, period
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,11 @@ def wss_scan(params: RecurrenceParams, p_max: int,
              state_budget: int = DEFAULT_STATE_BUDGET) -> list[WssFinding]:
     """Scan primes p <= p_max (skipping p | B) for k(p^2) = k(p).
 
-    k(p) always divides k(p^2), so equality holds exactly when the companion
-    matrix to the power k(p) is the identity mod p^2; that one matrix power
-    replaces a scan of up to p*k(p) further steps. Findings are emitted in
-    ascending order of p, and only the equal cases are reported.
+    k(p) always divides k(p^2), so equality holds exactly when (e(k), e(k+1))
+    = (0, 1) mod p^2 for k = k(p), i.e. M^k = I for the companion matrix M,
+    as B*e(k-1) = e(k+1) - A*e(k). That one term pair replaces a scan of up
+    to p*k(p) further steps. Findings are emitted in ascending order of p,
+    and only the equal cases are reported.
     """
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
@@ -47,9 +48,7 @@ def wss_scan(params: RecurrenceParams, p_max: int,
         if params.B % p == 0:
             continue
         k = period(params, p, state_budget=state_budget)
-        identity = (1, 0, 0, 1)
-        base = (params.A % (p * p), params.B % (p * p), 1, 0)
-        if _mat_pow(base, k, p * p) == identity:
+        if term_pair(params, k, p * p) == (0, 1):
             findings.append(WssFinding(A=params.A, B=params.B, p=p, k_p=k, k_p2=k))
     return findings
 

@@ -33,7 +33,6 @@ from .divisibility import (
 from .errors import BudgetExceededError, LucasLabError
 from .identities import (
     det_power_identity_check,
-    determinant_congruence_check,
     gcd_companion_check,
     multiplication_formula_check,
     period_step_congruence,
@@ -53,12 +52,6 @@ from .verify import VerifyConfig, parse_config, run_verification
 
 def _params(args: argparse.Namespace) -> RecurrenceParams:
     return RecurrenceParams(args.A, args.B)
-
-
-def _inf_str(v: int | float | None) -> int | str | None:
-    if v is None:
-        return None
-    return "inf" if v == math.inf else v
 
 
 # --- subcommand handlers, each returning (records, fields, exit_code) --------
@@ -95,8 +88,9 @@ def _cmd_cycle(args):
 def _cmd_rank(args):
     rr = rank(_params(args), args.modulus,
               state_budget=args.budget or DEFAULT_STATE_BUDGET)
+    val = rr.valuation_at_alpha
     rec = {"A": args.A, "B": args.B, "m": args.modulus, "alpha": rr.alpha,
-           "valuation_at_alpha": _inf_str(rr.valuation_at_alpha)}
+           "valuation_at_alpha": "inf" if val == math.inf else val}
     return [rec], ("A", "B", "m", "alpha", "valuation_at_alpha"), 0
 
 
@@ -122,7 +116,7 @@ def _cmd_repetition(args):
            "base_rank": rep.base_rank, "base_valuation": rep.base_valuation,
            "predicted_next_rank": rep.predicted_next_rank,
            "observed_next_rank": rep.observed_next_rank,
-           "observed_valuation_at_pn": _inf_str(rep.observed_valuation_at_pn),
+           "observed_valuation_at_pn": rep.observed_valuation_at_pn,
            "holds": rep.holds}
     return [rec], tuple(rec.keys()), 0
 
@@ -278,9 +272,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         rows = atlas_rows(_parse_range(args.A_range), _parse_range(args.B_range),
                           _parse_range(args.m_range),
                           state_budget=args.budget or DEFAULT_STATE_BUDGET)
+        errors = []  # every row streams out; any budget error row makes the exit code 3
+
+        def note(row):
+            if row.error is not None:
+                errors.append(row.error)
+            return row
+
         with _open_out(args.out) as sink:
-            write_atlas(rows, sink, args.format)
-        return 0
+            write_atlas(map(note, rows), sink, args.format)
+        if errors:
+            print(f"error: {len(errors)} atlas row(s) over budget; first: {errors[0]}",
+                  file=sys.stderr)
+        return 3 if errors else 0
     handler = _HANDLERS[args.command]
     records, fields, code = handler(args)
     with _open_out(args.out) as sink:
@@ -334,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("term", "exact term e(n)", parents=[ab])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
 
-    p = cmd("term-mod", "e(n) mod m via 2x2 matrix power", parents=[ab])
+    p = cmd("term-mod", "e(n) mod m by fast doubling", parents=[ab])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
     p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
 

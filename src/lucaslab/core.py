@@ -48,10 +48,11 @@ class RecurrenceParams:
         return f"(A={self.A}, B={self.B})"
 
 
-def term_pair(params: RecurrenceParams, n: int) -> tuple[int, int]:
-    """Return (e(n), e(n+1)) exactly, in O(log n) big-integer multiplications.
+def term_pair(params: RecurrenceParams, n: int, m: int | None = None) -> tuple[int, int]:
+    """Return (e(n), e(n+1)) exactly, or (e(n) % m, e(n+1) % m) when m is given.
 
-    Processes the bits of n from the top, doubling with
+    The one e(n) kernel, O(log n) multiplications (of residues when m is
+    given). It processes the bits of n from the top, doubling with
         e(2k)   = e(k) * (2*e(k+1) - A*e(k))
         e(2k+1) = e(k+1)^2 + B*e(k)^2
     which are instances of the addition rule
@@ -60,15 +61,19 @@ def term_pair(params: RecurrenceParams, n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     A, B = params.A, params.B
+    if m is not None:
+        A, B = A % m, B % m
     a, b = 0, 1  # (e(0), e(1))
     for bit in bin(n)[2:] if n else "":
         c = a * (2 * b - A * a)
         d = b * b + B * a * a
+        if m is not None:
+            c, d = c % m, d % m
         if bit == "1":
             a, b = d, A * d + B * c
         else:
             a, b = c, d
-    return a, b
+    return (a, b) if m is None else (a % m, b % m)
 
 
 def term(params: RecurrenceParams, n: int) -> int:

@@ -38,7 +38,7 @@ class RepetitionLawReport:
     base_valuation: int
     predicted_next_rank: int
     observed_next_rank: int | None
-    observed_valuation_at_pn: int | float
+    observed_valuation_at_pn: int
     holds: bool
 
 
@@ -74,7 +74,11 @@ def repetition_law_check(params: RecurrenceParams, p: int,
     higher = p ** (base_val + 1)
     observed = next((j for j in range(2 * alpha, bound + 1, alpha)
                      if term_mod(params, j, higher) == 0), None)
-    val_at_pn = _nu(term(params, p * alpha), p)
+    # e(alpha) | e(p*alpha). The scan ends: a coprime family with a finite
+    # valuation at alpha is nondegenerate, so e(p*alpha) != 0.
+    val_at_pn = base_val
+    while term_mod(params, p * alpha, p ** (val_at_pn + 1)) == 0:
+        val_at_pn += 1
     holds = observed == p * alpha and val_at_pn == base_val + 1
     return RepetitionLawReport(
         p=p,

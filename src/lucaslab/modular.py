@@ -1,4 +1,7 @@
-"""Modular sequence machinery: 2x2 matrix powers, cycles, periods, ranks.
+"""Modular sequence machinery: terms mod m, cycles, periods, ranks.
+
+e(n) mod m comes from core.term_pair's fast doubling reduced mod m; the 2x2
+matrix type (Mat2, mat_pow) is kept for callers that want the matrix itself.
 
 The pair state (e(n) mod m, e(n+1) mod m) advances by (x, y) -> (y, Ay + Bx).
 When gcd(B, m) = 1 the state map is invertible (the companion matrix has
@@ -10,10 +13,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from typing import Callable
 
 from sympy import factorint, isprime
 
-from .core import RecurrenceParams, _nu, term
+from .core import RecurrenceParams, _nu, term, term_pair
 from .errors import BudgetExceededError, NoPurePeriodError
 
 DEFAULT_STATE_BUDGET = 10**8
@@ -82,17 +86,12 @@ def mat_pow(matrix: Mat2, exponent: int) -> Mat2:
 
 
 def term_mod(params: RecurrenceParams, n: int, m: int) -> int:
-    """Return e(n) mod m in O(log n) 2x2 modular multiplications.
-
-    M^n = [[e(n+1), B*e(n)], [e(n), B*e(n-1)]] for the companion matrix M,
-    so the lower-left entry is the answer without any division by B.
-    """
+    """Return e(n) mod m by fast doubling, O(log n) multiplications of residues."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    base = (params.A % m, params.B % m, 1 % m, 0)
-    return _mat_pow(base, n, m)[2]
+    return term_pair(params, n, m)[0]
 
 
 @dataclass(frozen=True)
@@ -271,26 +270,28 @@ class PeriodLawReport:
     violations: tuple[tuple[int, int], ...]
 
 
-def _law_verdict(p: int, ladder: list[tuple[int, int]]) -> PeriodLawReport:
-    k1 = ladder[0][1]
-    t = max(e for e, k in ladder if k == k1)
-    violations = tuple((e, k) for e, k in ladder if e > t and k != p ** (e - t) * k1)
-    return PeriodLawReport(p=p, ladder=tuple(ladder), t=t,
-                           law_holds=not violations, violations=violations)
-
-
-def period_law_report(params: RecurrenceParams, p: int, e_max: int,
-                      state_budget: int = DEFAULT_STATE_BUDGET) -> PeriodLawReport:
-    """Compute k(p^e) for e = 1..e_max directly and test the prime-power scaling law."""
+def _ladder_report(params: RecurrenceParams, p: int, e_max: int,
+                   rung: Callable[[int], int]) -> PeriodLawReport:
+    """Build the ladder (e, rung(p^e)) for e = 1..e_max and judge the scaling law."""
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
     if params.B % p == 0:
         raise ValueError(f"p = {p} divides B = {params.B}; no pure periods mod p^e")
     if e_max < 1:
         raise ValueError(f"e_max must be positive, got {e_max}")
-    ladder = [(e, period(params, p ** e, state_budget=state_budget))
-              for e in range(1, e_max + 1)]
-    return _law_verdict(p, ladder)
+    ladder = tuple((e, rung(p ** e)) for e in range(1, e_max + 1))
+    k1 = ladder[0][1]
+    t = max(e for e, k in ladder if k == k1)
+    violations = tuple((e, k) for e, k in ladder if e > t and k != p ** (e - t) * k1)
+    return PeriodLawReport(p=p, ladder=ladder, t=t,
+                           law_holds=not violations, violations=violations)
+
+
+def period_law_report(params: RecurrenceParams, p: int, e_max: int,
+                      state_budget: int = DEFAULT_STATE_BUDGET) -> PeriodLawReport:
+    """Compute k(p^e) for e = 1..e_max directly and test the prime-power scaling law."""
+    return _ladder_report(params, p, e_max,
+                          lambda m: period(params, m, state_budget=state_budget))
 
 
 def _squares_period(params: RecurrenceParams, m: int, state_budget: int) -> int:
@@ -307,15 +308,8 @@ def _squares_period(params: RecurrenceParams, m: int, state_budget: int) -> int:
 def squares_period_law_report(params: RecurrenceParams, p: int, e_max: int,
                               state_budget: int = DEFAULT_STATE_BUDGET) -> PeriodLawReport:
     """Same ladder computation and scaling law, for the squared sequence e(n)^2 mod p^e."""
-    if not isprime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if params.B % p == 0:
-        raise ValueError(f"p = {p} divides B = {params.B}; no pure periods mod p^e")
-    if e_max < 1:
-        raise ValueError(f"e_max must be positive, got {e_max}")
-    ladder = [(e, _squares_period(params, p ** e, state_budget))
-              for e in range(1, e_max + 1)]
-    return _law_verdict(p, ladder)
+    return _ladder_report(params, p, e_max,
+                          lambda m: _squares_period(params, m, state_budget))
 
 
 def cycle_entry_prediction(params: RecurrenceParams, m: int) -> int | None:

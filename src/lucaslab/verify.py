@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from itertools import product
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     DEFAULT_DIGIT_BUDGET,
@@ -159,162 +160,123 @@ def _known(suite: str, case: str, detail: str) -> CheckRecord:
     return CheckRecord(suite, case, False, "known-exception", detail)
 
 
+def _sweep(name: str, grid: Iterable[RecurrenceParams],
+           probe: Callable[[RecurrenceParams], object], ok: str,
+           fail: str) -> Iterator[CheckRecord]:
+    """One record per pair: pass with detail ok, or fail with fail.format(violation).
+
+    probe returns the pair's first violation, or None when the law held.
+    """
+    for params in grid:
+        bad = probe(params)
+        if bad is None:
+            yield _ok(name, str(params), ok)
+        else:
+            yield _fail(name, str(params), fail.format(bad))
+
+
 # --- exact-arithmetic suites -------------------------------------------------
 
 def _suite_addition_identity(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "addition_identity"
-    for params in config.grid():
+    def probe(params):
         e = terms(params, 81)
-        bad = next(((n, t) for n in range(41) for t in range(1, 41)
-                    if e[n + t] != e[n + 1] * e[t] + params.B * e[n] * e[t - 1]), None)
-        if bad:
-            yield _fail(name, str(params), f"first violation at (n, t) = {bad}")
-        else:
-            yield _ok(name, str(params), "1640 (n, t) cases, exact")
+        return next(((n, t) for n, t in product(range(41), range(1, 41))
+                     if e[n + t] != e[n + 1] * e[t] + params.B * e[n] * e[t - 1]), None)
+    return _sweep("addition_identity", config.grid(), probe,
+                  "1640 (n, t) cases, exact", "first violation at (n, t) = {}")
 
 
 def _suite_doubling_consistency(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "doubling_consistency"
-    for params in config.grid():
+    def probe(params):
         e = terms(params, 65)
-        bad = next((n for n in range(65) if term_pair(params, n) != (e[n], e[n + 1])), None)
-        if bad is None:
-            yield _ok(name, str(params), "n <= 64 agrees with iteration")
-        else:
-            yield _fail(name, str(params), f"pair mismatch at n = {bad}")
+        return next((n for n in range(65) if term_pair(params, n) != (e[n], e[n + 1])), None)
+    return _sweep("doubling_consistency", config.grid(), probe,
+                  "n <= 64 agrees with iteration", "pair mismatch at n = {}")
 
 
 def _suite_companion_recurrence(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "companion_recurrence"
-    for params in config.grid():
+    def probe(params):
         v = [companion(params, n) for n in range(41)]
         ok = v[0] == 2 and v[1] == params.A and all(
             v[n] == params.A * v[n - 1] + params.B * v[n - 2] for n in range(2, 41))
-        if ok:
-            yield _ok(name, str(params), "seeds (2, A) and recurrence hold to n = 40")
-        else:
-            yield _fail(name, str(params), f"companion sequence broken: {v[:6]}...")
+        return None if ok else v[:6]
+    return _sweep("companion_recurrence", config.grid(), probe,
+                  "seeds (2, A) and recurrence hold to n = 40",
+                  "companion sequence broken: {}...")
 
 
 def _suite_recurrence_space(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "recurrence_space"
-    for params in config.grid():
+    def probe(params):
         e = terms(params, 36)
-        bad = None
-        for r in range(-3, 4):
-            for s in range(-3, 4):
-                for p_shift in range(6):
-                    for q_shift in range(6):
-                        w = [r * e[n + p_shift] + s * e[n + q_shift] for n in range(31)]
-                        if any(w[n] != params.A * w[n - 1] + params.B * w[n - 2]
-                               for n in range(2, 31)):
-                            bad = (r, s, p_shift, q_shift)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            yield _fail(name, str(params), f"combination {bad} escapes the recurrence")
-        else:
-            yield _ok(name, str(params), "R, S in [-3, 3], shifts <= 5, n <= 30")
+        for r, s, p_shift, q_shift in product(range(-3, 4), range(-3, 4), range(6), range(6)):
+            w = [r * e[n + p_shift] + s * e[n + q_shift] for n in range(31)]
+            if any(w[n] != params.A * w[n - 1] + params.B * w[n - 2] for n in range(2, 31)):
+                return r, s, p_shift, q_shift
+        return None
+    return _sweep("recurrence_space", config.grid(), probe,
+                  "R, S in [-3, 3], shifts <= 5, n <= 30",
+                  "combination {} escapes the recurrence")
 
 
 def _suite_seeded_combination(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "seeded_combination"
-    for params in config.grid():
-        bad = None
-        for w0 in range(-3, 4):
-            for w1 in range(-3, 4):
-                prev, cur = w0, w1
-                for n in range(41):
-                    if seeded_term(params, w0, w1, n) != prev:
-                        bad = (w0, w1, n)
-                        break
-                    prev, cur = cur, params.A * cur + params.B * prev
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            yield _fail(name, str(params), f"seeded term disagrees with iteration at {bad}")
-        else:
-            yield _ok(name, str(params), "w0, w1 in [-3, 3], n <= 40")
+    def probe(params):
+        for w0, w1 in product(range(-3, 4), repeat=2):
+            prev, cur = w0, w1
+            for n in range(41):
+                if seeded_term(params, w0, w1, n) != prev:
+                    return w0, w1, n
+                prev, cur = cur, params.A * cur + params.B * prev
+        return None
+    return _sweep("seeded_combination", config.grid(), probe,
+                  "w0, w1 in [-3, 3], n <= 40", "seeded term disagrees with iteration at {}")
 
 
 def _suite_cassini_sign_law(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "cassini_sign_law"
-    for params in config.grid():
-        bad = next((n for n in range(1, 41)
-                    if cassini_value(params, n) != (-1) ** n * params.B ** (n - 1)), None)
-        if bad is None:
-            yield _ok(name, str(params), "e(n+1)e(n-1) - e(n)^2 = (-1)^n B^(n-1), n <= 40")
-        else:
-            yield _fail(name, str(params), f"sign law broken at n = {bad}")
+    def probe(params):
+        return next((n for n in range(1, 41)
+                     if cassini_value(params, n) != (-1) ** n * params.B ** (n - 1)), None)
+    return _sweep("cassini_sign_law", config.grid(), probe,
+                  "e(n+1)e(n-1) - e(n)^2 = (-1)^n B^(n-1), n <= 40", "sign law broken at n = {}")
 
 
 def _suite_multiplication_formula(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "multiplication_formula"
-    for params in config.grid():
-        bad = None
-        for a in range(1, 9):
-            for n in range(1, 13):
-                if not multiplication_formula_check(params, a, n).holds:
-                    bad = (a, n)
-                    break
-            if bad:
-                break
-        if bad:
-            yield _fail(name, str(params), f"expansion fails at (a, n) = {bad}")
-        else:
-            yield _ok(name, str(params), "a <= 8, n <= 12, exact")
+    def probe(params):
+        return next(((a, n) for a, n in product(range(1, 9), range(1, 13))
+                     if not multiplication_formula_check(params, a, n).holds), None)
+    return _sweep("multiplication_formula", config.grid(), probe,
+                  "a <= 8, n <= 12, exact", "expansion fails at (a, n) = {}")
 
 
 def _suite_gcd_companion(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "gcd_companion"
-    for params in config.coprime_grid():
-        holds, bad = gcd_companion_check(params, 30)
-        if holds:
-            yield _ok(name, str(params), "gcd(v(n), e(n)) in {1, 2} for n <= 30")
-        else:
-            yield _fail(name, str(params), f"gcd outside {{1, 2}} at n = {bad}")
+    # gcd_companion_check's second item is the first violating n, None when it holds.
+    return _sweep("gcd_companion", config.coprime_grid(),
+                  lambda params: gcd_companion_check(params, 30)[1],
+                  "gcd(v(n), e(n)) in {1, 2} for n <= 30", "gcd outside {{1, 2}} at n = {}")
 
 
 # --- modular suites ----------------------------------------------------------
 
 def _suite_term_mod_agreement(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "term_mod_agreement"
-    for params in config.grid():
+    def probe(params):
         e = terms(params, 200)
-        bad = next(((n, m) for m in range(2, 51) for n in range(201)
-                    if term_mod(params, n, m) != e[n] % m), None)
-        if bad is None:
-            yield _ok(name, str(params), "matrix path = exact path mod m, n <= 200, m <= 50")
-        else:
-            yield _fail(name, str(params), f"mismatch at (n, m) = {bad}")
+        return next(((n, m) for m in range(2, 51) for n in range(201)
+                     if term_mod(params, n, m) != e[n] % m), None)
+    return _sweep("term_mod_agreement", config.grid(), probe,
+                  "doubling path = exact path mod m, n <= 200, m <= 50",
+                  "mismatch at (n, m) = {}")
 
 
 def _suite_purity_gcd_law(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "purity_gcd_law"
-    for params in config.grid():
-        bad = None
-        for m in range(2, 101):
-            cs = cycle_structure(params, m, state_budget=config.state_budget)
-            if cs.pure != (math.gcd(params.B, m) == 1):
-                bad = m
-                break
-        if bad is None:
-            yield _ok(name, str(params), "pure <=> gcd(B, m) = 1 for m <= 100")
-        else:
-            yield _fail(name, str(params), f"purity mismatch at m = {bad}")
+    def probe(params):
+        return next((m for m in range(2, 101)
+                     if cycle_structure(params, m, state_budget=config.state_budget).pure
+                     != (math.gcd(params.B, m) == 1)), None)
+    return _sweep("purity_gcd_law", config.grid(), probe,
+                  "pure <=> gcd(B, m) = 1 for m <= 100", "purity mismatch at m = {}")
 
 
 def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "period_zero_alignment"
-    for params in config.grid():
-        bad = None
+    def probe(params):
         for m in range(2, 51):
             if math.gcd(params.B, m) != 1:
                 continue
@@ -322,30 +284,25 @@ def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
             cs = cycle_structure(params, m, state_budget=config.state_budget)
             rr = rank(params, m, state_budget=config.state_budget)
             if k != cs.cycle_len or rr.alpha is None or k % rr.alpha != 0:
-                bad = (m, k, cs.cycle_len, rr.alpha)
-                break
-        if bad is None:
-            yield _ok(name, str(params), "period = cycle length and alpha | period, m <= 50")
-        else:
-            yield _fail(name, str(params), f"misalignment {bad}")
+                return m, k, cs.cycle_len, rr.alpha
+        return None
+    return _sweep("period_zero_alignment", config.grid(), probe,
+                  "period = cycle length and alpha | period, m <= 50", "misalignment {}")
 
 
 def _suite_zero_index_progression(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "zero_index_progression"
-    for params in config.grid():
-        bad = None
+    def probe(params):
         for m in range(2, 51):
             if math.gcd(params.B, m) != 1:
                 continue
             k = period(params, m, state_budget=config.state_budget)
             chk = zero_indices_check(params, m, 4 * k, state_budget=config.state_budget)
             if not chk.holds:
-                bad = (m, chk.first_violation)
-                break
-        if bad is None:
-            yield _ok(name, str(params), "zeros = multiples of alpha over 4 periods, m <= 50")
-        else:
-            yield _fail(name, str(params), f"progression broken at (m, index) = {bad}")
+                return m, chk.first_violation
+        return None
+    return _sweep("zero_index_progression", config.grid(), probe,
+                  "zeros = multiples of alpha over 4 periods, m <= 50",
+                  "progression broken at (m, index) = {}")
 
 
 def _suite_period_ladder(config: VerifyConfig) -> Iterator[CheckRecord]:
@@ -438,8 +395,7 @@ def _suite_repetition_law(config: VerifyConfig) -> Iterator[CheckRecord]:
                              f"nu_2(e({rep.predicted_next_rank})) = {rep.observed_valuation_at_pn} "
                              f"!= {rep.base_valuation + 1}")
             else:
-                yield _fail(name, case,
-                            f"law fails at odd prime: {rep}")
+                yield _fail(name, case, f"law fails at odd prime: {rep}")
 
 
 def _suite_square_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
@@ -465,18 +421,11 @@ def _suite_square_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 
 def _suite_power_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "power_divisibility"
-    for params in config.coprime_grid():
-        bad = None
-        for n in range(1, 7):
-            chk = power_divisibility_check(params, n, 2)
-            if not chk.holds:
-                bad = (n, chk.counterexamples[0])
-                break
-        if bad:
-            yield _fail(name, str(params), f"power law fails at n={bad[0]}, k={bad[1][0]}")
-        else:
-            yield _ok(name, str(params), "n <= 6, k <= 2")
+    def probe(params):
+        return next(((n, chk.counterexamples[0][0]) for n in range(1, 7)
+                     if not (chk := power_divisibility_check(params, n, 2)).holds), None)
+    return _sweep("power_divisibility", config.coprime_grid(), probe,
+                  "n <= 6, k <= 2", "power law fails at n={0[0]}, k={0[1]}")
 
 
 def _suite_divisibility_sequence(config: VerifyConfig) -> Iterator[CheckRecord]:
@@ -500,40 +449,41 @@ def _suite_divisibility_sequence(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 
 def _suite_trailing_zeros(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "trailing_zeros"
-    for params in config.grid():
+    def probe(params):
         try:
             for base in (2, 10):
                 rep = trailing_zeros_report(params, base, 200,
                                             digit_budget=config.term_digit_budget)
                 assert rep.max_ratio >= 0.0
         except RuntimeError as exc:
-            yield _fail(name, str(params), f"strip/valuation cross-check failed: {exc}")
-        else:
-            yield _ok(name, str(params), "digit stripping = valuation formula, bases 2 and 10, n <= 200")
+            return exc
+        return None
+    return _sweep("trailing_zeros", config.grid(), probe,
+                  "digit stripping = valuation formula, bases 2 and 10, n <= 200",
+                  "strip/valuation cross-check failed: {}")
 
 
 # --- congruence suites ---------------------------------------------------------
 
 def _suite_determinant_congruence(config: VerifyConfig) -> Iterator[CheckRecord]:
     name = "determinant_congruence"
+
+    def probe(params, p):
+        for e in (1, 2):
+            alpha = rank(params, p ** e, state_budget=config.state_budget).alpha
+            if alpha is None:
+                return e, "no rank"
+            for j in (1, 2, 3):
+                res = determinant_congruence_check(params, p, e, j * alpha)
+                if not res.holds:
+                    return e, j * alpha, res.lhs, res.rhs
+        return None
+
     for params in config.grid():
         for p in CONGRUENCE_PRIMES:
             if params.B % p == 0:
                 continue
-            bad = None
-            for e in (1, 2):
-                alpha = rank(params, p ** e, state_budget=config.state_budget).alpha
-                if alpha is None:
-                    bad = (e, "no rank")
-                    break
-                for j in (1, 2, 3):
-                    res = determinant_congruence_check(params, p, e, j * alpha)
-                    if not res.holds:
-                        bad = (e, j * alpha, res.lhs, res.rhs)
-                        break
-                if bad:
-                    break
+            bad = probe(params, p)
             case = f"{params} p={p}"
             if bad:
                 yield _fail(name, case, f"congruence fails: {bad}")
@@ -542,25 +492,21 @@ def _suite_determinant_congruence(config: VerifyConfig) -> Iterator[CheckRecord]
 
 
 def _suite_det_power_identity(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "det_power_identity"
-    for params in config.grid():
-        bad = next(((p, n) for p in (3, 5, 7, 9) for n in range(1, 16)
-                    if not det_power_identity_check(params, p, n).holds), None)
-        if bad:
-            yield _fail(name, str(params), f"identity fails at (p, n) = {bad}")
-        else:
-            yield _ok(name, str(params), "odd p <= 9 (incl. composite 9), n <= 15, exact")
+    def probe(params):
+        return next(((p, n) for p, n in product((3, 5, 7, 9), range(1, 16))
+                     if not det_power_identity_check(params, p, n).holds), None)
+    return _sweep("det_power_identity", config.grid(), probe,
+                  "odd p <= 9 (incl. composite 9), n <= 15, exact",
+                  "identity fails at (p, n) = {}")
 
 
 def _suite_period_step(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "period_step_congruence"
-    for params in config.grid():
-        bad = next(((a, n) for a in range(1, 7) for n in range(1, 13)
-                    if not period_step_congruence(params, a, n).holds), None)
-        if bad:
-            yield _fail(name, str(params), f"congruence fails at (a, n) = {bad}")
-        else:
-            yield _ok(name, str(params), "a <= 6, n <= 12 (vacuous moduli trivially true)")
+    def probe(params):
+        return next(((a, n) for a, n in product(range(1, 7), range(1, 13))
+                     if not period_step_congruence(params, a, n).holds), None)
+    return _sweep("period_step_congruence", config.grid(), probe,
+                  "a <= 6, n <= 12 (vacuous moduli trivially true)",
+                  "congruence fails at (a, n) = {}")
 
 
 SUITES: dict[str, Callable[[VerifyConfig], Iterator[CheckRecord]]] = {

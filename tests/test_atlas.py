@@ -8,6 +8,8 @@ import pytest
 from lucaslab import RecurrenceParams, atlas_rows, term, wss_scan
 from lucaslab.atlas import parse_atlas, parse_wss, write_atlas, write_wss
 
+from .conftest import naive_period
+
 
 # --- wss scanning --------------------------------------------------------------
 
@@ -47,6 +49,24 @@ def test_wss_prefix_consistency(pell):
 def test_wss_rejects_bad_bound(fib):
     with pytest.raises(ValueError):
         wss_scan(fib, 1)
+
+
+def test_wss_scan_matches_naive_walk():
+    # p is a finding iff k(p) steps of the pair walk mod p^2 return to (0, 1).
+    primes = [p for p in range(2, 120) if all(p % q for q in range(2, p))]
+    for A in range(-6, 7):
+        for B in (-3, -2, -1, 1, 2, 3):
+            expected = []
+            for p in primes:
+                if B % p == 0:
+                    continue
+                k, x, y = naive_period(A, B, p), 0, 1
+                for _ in range(k):
+                    x, y = y, (A * y + B * x) % (p * p)
+                if (x, y) == (0, 1):
+                    expected.append((p, k, k))
+            found = wss_scan(RecurrenceParams(A, B), 119)
+            assert [(f.p, f.k_p, f.k_p2) for f in found] == expected, (A, B)
 
 
 def test_wss_degenerate_family_every_prime():

@@ -293,24 +293,29 @@ def test_csv_output_reparse_reemit_identical(capsys):
 
 # --- CSV cells: None empty, bools true/false, lists ";"-joined, pairs ":"-joined ---
 
-@pytest.mark.parametrize("argv, line", [
-    ("period-law -A 1 -B 1 --p 2 --e 4", "1,1,2,4,1:3;2:6;3:12;4:24,1,true"),
-    ("div-seq -A -3 -B -5 --a-max 4 --b-max 10", "-3,-5,4,10,false,1,4,4:2;4:6;4:10"),
+CSV_CASES = [
+    ("period-law -A 1 -B 1 --p 2 --e 4", "1,1,2,4,1:3;2:6;3:12;4:24,1,true", 0),
+    ("div-seq -A -3 -B -5 --a-max 4 --b-max 10", "-3,-5,4,10,false,1,4,4:2;4:6;4:10", 0),
     ("div-seq -A 1 -B -1 --a-max 12 --b-max 36",
-     "1,-1,12,36,true,1;2;3;4;5;6;7;8;9;10;11;12,,"),
-    ("power-div -A 5 -B 4 -n 6 --limit 2", "5,4,6,2,true,"),
-    ("atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 10000", "1,1,1000,,,,"),
-])
-def test_csv_cells_byte_exact(capsys, argv, line):
+     "1,-1,12,36,true,1;2;3;4;5;6;7;8;9;10;11;12,,", 0),
+    ("power-div -A 5 -B 4 -n 6 --limit 2", "5,4,6,2,true,", 0),
+    # An over-budget row is still written, and the command exits 3.
+    ("atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 10000", "1,1,1000,,,,", 3),
+]
+
+
+@pytest.mark.parametrize("argv, line, expected_code", CSV_CASES,
+                         ids=[f"{argv}-{line}" for argv, line, _ in CSV_CASES])
+def test_csv_cells_byte_exact(capsys, argv, line, expected_code):
     code, out = run_cli(capsys, *argv.split(), "--format", "csv")
-    assert code == 0
+    assert code == expected_code
     assert out.splitlines()[-1] == line
 
 
 def test_atlas_json_error_row_keeps_message(capsys):
     code, out = run_cli(capsys, "atlas", "--A-range", "1", "--B-range", "1",
                         "--m-range", "3,1000", "--budget", "10000")
-    assert code == 0
+    assert code == 3
     assert json.loads(out.splitlines()[-1]) == {
         "A": 1, "B": 1, "m": 1000,
         "error": "modulus 1000 needs up to 1000000 pair states, over the budget of 10000",

@@ -22,6 +22,7 @@ from lucaslab import (
     squares_period_law_report,
     term,
     term_mod,
+    term_pair,
     zero_indices_check,
 )
 from lucaslab.modular import _squares_period
@@ -89,6 +90,17 @@ def test_term_mod_agrees_with_exact():
         for m in (2, 3, 7, 10, 49):
             for n in range(0, 121, 7):
                 assert term_mod(params, n, m) == e[n] % m
+
+
+# |A| and |B| may exceed m, and one modulus is past a machine word.
+@given(a=st.integers(-50, 50), b=st.integers(-50, 50).filter(lambda x: x != 0),
+       m=st.one_of(st.integers(2, 500), st.just(2**64 + 13)), n=st.integers(0, 600))
+@settings(max_examples=300, deadline=None)
+def test_doubling_mod_m_matches_naive_terms(a, b, m, n):
+    params = RecurrenceParams(a, b)
+    e = naive_terms(a, b, n + 1)
+    assert term_pair(params, n, m) == (e[n] % m, e[n + 1] % m)
+    assert term_mod(params, n, m) == e[n] % m
 
 
 # --- cycle structure and period ----------------------------------------------

@@ -1,9 +1,12 @@
 """The verification engine: config parsing, suite selection, classifications."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from lucaslab import VerifyConfig, parse_config, run_verification
+from lucaslab import VerifyConfig, parse_config, run_verification, verify
+from lucaslab.cli import main
 from lucaslab.verify import SUITES
 
 
@@ -126,3 +129,27 @@ def test_suite_registry_complete():
     cfg = VerifyConfig(a_min=1, a_max=1, b_min=2, b_max=2)
     records, _ = run_verification(cfg)
     assert {r.suite for r in records} >= {"cycle_entry"}
+
+
+@pytest.mark.parametrize("bad_n", [0, 7])
+def test_sweep_reports_first_violation(monkeypatch, tmp_path, capsys, bad_n):
+    # A kernel that is wrong at one index must reach the suite's fail branch,
+    # including at n = 0, which is falsy.
+    real = verify.term_pair
+
+    def corrupt(params, n, m=None):
+        a, b = real(params, n, m)
+        return (a + 1, b) if n == bad_n else (a, b)
+
+    monkeypatch.setattr(verify, "term_pair", corrupt)
+    cfg = VerifyConfig(a_min=1, a_max=1, b_min=1, b_max=1, suites=("doubling_consistency",))
+    records, summary = run_verification(cfg)
+    assert [(r.case, r.classification, r.detail) for r in records] == [
+        ("(A=1, B=1)", "fail", f"pair mismatch at n = {bad_n}")]
+    assert (summary.failed, summary.ok) == (1, False)
+    path = tmp_path / "verify.cfg"
+    path.write_text("A_min = 1\nA_max = 1\nB_min = 1\nB_max = 1\n"
+                    "suites = doubling_consistency\n")
+    assert main(["verify", "--config", str(path)]) == 1
+    first = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert (first["classification"], first["detail"]) == ("fail", f"pair mismatch at n = {bad_n}")
