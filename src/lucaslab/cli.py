@@ -16,13 +16,7 @@ from contextlib import nullcontext
 from dataclasses import asdict
 
 from .atlas import atlas_rows, write_atlas, write_records, write_wss, wss_scan
-from .core import (
-    DEFAULT_DIGIT_BUDGET,
-    RecurrenceParams,
-    cassini_value,
-    check_term_budget,
-    term,
-)
+from .core import DEFAULT_DIGIT_BUDGET, RecurrenceParams, check_term_budget, term
 from .divisibility import (
     divisibility_sequence_check,
     power_divisibility_check,
@@ -32,10 +26,12 @@ from .divisibility import (
 )
 from .errors import BudgetExceededError, LucasLabError
 from .identities import (
-    det_power_identity_check,
-    gcd_companion_check,
-    multiplication_formula_check,
-    period_step_congruence,
+    DET_POWER_MODULI,
+    cassini_sign_violation,
+    det_power_identity_violation,
+    gcd_companion_violation,
+    multiplication_formula_violation,
+    period_step_violation,
 )
 from .modular import (
     DEFAULT_STATE_BUDGET,
@@ -58,7 +54,7 @@ def _params(args: argparse.Namespace) -> RecurrenceParams:
 
 def _cmd_term(args) -> tuple[list[dict], tuple[str, ...], int]:
     params = _params(args)
-    check_term_budget(params, args.n, args.budget or DEFAULT_DIGIT_BUDGET)
+    check_term_budget(params, args.n, args.budget)
     value = term(params, args.n)
     rec = {"A": args.A, "B": args.B, "n": args.n, "term": str(value)}
     return [rec], ("A", "B", "n", "term"), 0
@@ -71,23 +67,20 @@ def _cmd_term_mod(args):
 
 
 def _cmd_period(args):
-    k = period(_params(args), args.modulus,
-               state_budget=args.budget or DEFAULT_STATE_BUDGET)
+    k = period(_params(args), args.modulus, state_budget=args.budget)
     rec = {"A": args.A, "B": args.B, "m": args.modulus, "period": k}
     return [rec], ("A", "B", "m", "period"), 0
 
 
 def _cmd_cycle(args):
-    cs = cycle_structure(_params(args), args.modulus,
-                         state_budget=args.budget or DEFAULT_STATE_BUDGET)
+    cs = cycle_structure(_params(args), args.modulus, state_budget=args.budget)
     rec = {"A": args.A, "B": args.B, "m": args.modulus, "pure": cs.pure,
            "tail_len": cs.tail_len, "cycle_len": cs.cycle_len}
     return [rec], ("A", "B", "m", "pure", "tail_len", "cycle_len"), 0
 
 
 def _cmd_rank(args):
-    rr = rank(_params(args), args.modulus,
-              state_budget=args.budget or DEFAULT_STATE_BUDGET)
+    rr = rank(_params(args), args.modulus, state_budget=args.budget)
     val = rr.valuation_at_alpha
     rec = {"A": args.A, "B": args.B, "m": args.modulus, "alpha": rr.alpha,
            "valuation_at_alpha": "inf" if val == math.inf else val}
@@ -102,12 +95,12 @@ def _law_records(args, report) -> tuple[list[dict], tuple[str, ...], int]:
 
 def _cmd_period_law(args):
     return _law_records(args, period_law_report(
-        _params(args), args.p, args.e, state_budget=args.budget or DEFAULT_STATE_BUDGET))
+        _params(args), args.p, args.e, state_budget=args.budget))
 
 
 def _cmd_squares_law(args):
     return _law_records(args, squares_period_law_report(
-        _params(args), args.p, args.e, state_budget=args.budget or DEFAULT_STATE_BUDGET))
+        _params(args), args.p, args.e, state_budget=args.budget))
 
 
 def _cmd_repetition(args):
@@ -122,17 +115,16 @@ def _cmd_repetition(args):
 
 
 def _cmd_square_div(args):
-    chk = square_divisibility_check(_params(args), args.n, args.limit or 30,
-                                    digit_budget=args.budget or DEFAULT_DIGIT_BUDGET)
-    rec = {"A": args.A, "B": args.B, "n": args.n, "m_max": args.limit or 30,
+    chk = square_divisibility_check(_params(args), args.n, args.limit, digit_budget=args.budget)
+    rec = {"A": args.A, "B": args.B, "n": args.n, "m_max": args.limit,
            "holds": chk.holds,
            "first_counterexample": chk.counterexamples[0][0] if chk.counterexamples else None}
     return [rec], tuple(rec.keys()), 0
 
 
 def _cmd_power_div(args):
-    chk = power_divisibility_check(_params(args), args.n, args.limit or 2)
-    rec = {"A": args.A, "B": args.B, "n": args.n, "k_max": args.limit or 2,
+    chk = power_divisibility_check(_params(args), args.n, args.limit)
+    rec = {"A": args.A, "B": args.B, "n": args.n, "k_max": args.limit,
            "holds": chk.holds,
            "first_counterexample": chk.counterexamples[0][0] if chk.counterexamples else None}
     return [rec], tuple(rec.keys()), 0
@@ -148,8 +140,7 @@ def _cmd_div_seq(args):
 
 
 def _cmd_zeros(args):
-    chk = zero_indices_check(_params(args), args.modulus, args.limit or 100,
-                             state_budget=args.budget or DEFAULT_STATE_BUDGET)
+    chk = zero_indices_check(_params(args), args.modulus, args.limit, state_budget=args.budget)
     rec = {"A": args.A, "B": args.B, "m": args.modulus, "limit": chk.limit,
            "alpha": chk.alpha, "holds": chk.holds,
            "first_violation": chk.first_violation}
@@ -157,8 +148,7 @@ def _cmd_zeros(args):
 
 
 def _cmd_bound(args):
-    rep = trailing_zeros_report(_params(args), args.modulus, args.limit or 200,
-                                digit_budget=args.budget or DEFAULT_DIGIT_BUDGET)
+    rep = trailing_zeros_report(_params(args), args.modulus, args.limit, digit_budget=args.budget)
     records = [{"A": args.A, "B": args.B, "base": rep.base, "n": n, "z": z}
                for n, z in rep.samples]
     print(f"max z(n)/log2(n) = {rep.max_ratio}", file=sys.stderr)
@@ -167,36 +157,17 @@ def _cmd_bound(args):
 
 def _cmd_identities(args):
     params = _params(args)
-    records = []
-
-    def add(check: str, case: str, holds: bool, detail: str = "") -> None:
-        records.append({"A": args.A, "B": args.B, "check": check, "case": case,
-                        "holds": holds, "detail": detail})
-
-    for a in range(1, 9):
-        for n in range(1, 13):
-            res = multiplication_formula_check(params, a, n)
-            if not res.holds:
-                add("multiplication_formula", f"a={a} n={n}", False,
-                    f"lhs={res.lhs} rhs={res.rhs}")
-    add("multiplication_formula", "a<=8 n<=12",
-        not any(r["check"] == "multiplication_formula" for r in records))
-    for p in (3, 5, 7, 9):
-        bad = next((n for n in range(1, 16)
-                    if not det_power_identity_check(params, p, n).holds), None)
-        add("det_power_identity", f"p={p} n<=15", bad is None,
-            "" if bad is None else f"fails at n={bad}")
-    bad = next(((a, n) for a in range(1, 7) for n in range(1, 13)
-                if not period_step_congruence(params, a, n).holds), None)
-    add("period_step_congruence", "a<=6 n<=12", bad is None,
-        "" if bad is None else f"fails at (a, n)={bad}")
+    found = [("multiplication_formula", "a<=8 n<=12", multiplication_formula_violation(params))]
+    found += [("det_power_identity", f"p={p} n<=15", det_power_identity_violation(params, p))
+              for p in DET_POWER_MODULI]
+    found.append(("period_step_congruence", "a<=6 n<=12", period_step_violation(params)))
     if params.coprime_AB:
-        holds, first = gcd_companion_check(params, 30)
-        add("gcd_companion", "n<=30", holds, "" if holds else f"fails at n={first}")
-    bad = next((n for n in range(1, 41)
-                if cassini_value(params, n) != (-1) ** n * params.B ** (n - 1)), None)
-    add("cassini_sign_law", "n<=40", bad is None,
-        "" if bad is None else f"fails at n={bad}")
+        found.append(("gcd_companion", "n<=30", gcd_companion_violation(params)))
+    found.append(("cassini_sign_law", "n<=40", cassini_sign_violation(params)))
+    records = [{"A": args.A, "B": args.B, "check": check, "case": case, "holds": bad is None,
+                "detail": "" if bad is None else
+                f"fails at {'(a, n)' if isinstance(bad, tuple) else 'n'}={bad}"}
+               for check, case, bad in found]
     exit_code = 0 if all(r["holds"] for r in records) else 1
     return records, ("A", "B", "check", "case", "holds", "detail"), exit_code
 
@@ -263,15 +234,13 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "wss":
         params = RecurrenceParams(args.A, args.B)
-        findings = wss_scan(params, args.limit or 1000,
-                            state_budget=args.budget or DEFAULT_STATE_BUDGET)
+        findings = wss_scan(params, args.limit, state_budget=args.budget)
         with _open_out(args.out) as sink:
             write_wss(findings, sink, args.format)
         return 0
     if args.command == "atlas":
         rows = atlas_rows(_parse_range(args.A_range), _parse_range(args.B_range),
-                          _parse_range(args.m_range),
-                          state_budget=args.budget or DEFAULT_STATE_BUDGET)
+                          _parse_range(args.m_range), state_budget=args.budget)
         errors = []  # every row streams out; any budget error row makes the exit code 3
 
         def note(row):
@@ -325,8 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default json lines)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH (default stdout)")
-    common.add_argument("--budget", type=_positive_int, default=None,
-                        help="override the scan/exact-term budget")
+
+    states = argparse.ArgumentParser(add_help=False)
+    states.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET,
+                        help="most pair states a cycle scan may walk (default %(default)s)")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--budget", type=_positive_int, default=DEFAULT_DIGIT_BUDGET,
+                        help="most decimal digits of an exact term (default %(default)s)")
 
     ab = argparse.ArgumentParser(add_help=False)
     ab.add_argument("-A", type=int, required=True, help="coefficient A")
@@ -335,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def cmd(name: str, help_text: str, *, parents=(), **kwargs):
         return sub.add_parser(name, help=help_text, parents=[common, *parents], **kwargs)
 
-    p = cmd("term", "exact term e(n)", parents=[ab])
+    p = cmd("term", "exact term e(n)", parents=[ab, digits])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
 
     p = cmd("term-mod", "e(n) mod m by fast doubling", parents=[ab])
@@ -345,46 +319,52 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("period", "pure period k(m) (requires gcd(B, m) = 1)"),
                             ("cycle", "tail and cycle of the pair sequence mod m"),
                             ("rank", "rank of apparition alpha(m)")):
-        p = cmd(name, help_text, parents=[ab])
+        p = cmd(name, help_text, parents=[ab, states])
         p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
 
     for name, help_text in (("period-law", "period ladder k(p^e) and the scaling law"),
                             ("squares-law", "period ladder of the squared sequence")):
-        p = cmd(name, help_text, parents=[ab])
+        p = cmd(name, help_text, parents=[ab, states])
         p.add_argument("--p", type=int, required=True, help="prime p (not dividing B)")
         p.add_argument("--e", type=int, default=3, help="largest exponent (default 3)")
 
     p = cmd("repetition", "law of repetition at a prime", parents=[ab])
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="index scan bound")
+    p.add_argument("--limit", type=_positive_int, default=None,
+                   help="index scan bound (default 2*p*rank)")
 
-    p = cmd("square-div", "e(n)^2 | e(n*m) iff e(n) | m, for m up to --limit", parents=[ab])
+    p = cmd("square-div", "e(n)^2 | e(n*m) iff e(n) | m, for m up to --limit",
+            parents=[ab, digits])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="m_max (default 30)")
+    p.add_argument("--limit", type=_positive_int, default=30, help="m_max (default %(default)s)")
 
     p = cmd("power-div", "e(n)^(k+1) | e(n*e(n)^k) for k up to --limit", parents=[ab])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="k_max (default 2)")
+    p.add_argument("--limit", type=_positive_int, default=2, help="k_max (default %(default)s)")
 
     p = cmd("div-seq", "e(a) | e(b) iff a | b over an index rectangle", parents=[ab])
     p.add_argument("--a-max", dest="a_max", type=int, default=15)
     p.add_argument("--b-max", dest="b_max", type=int, default=60)
 
-    p = cmd("zeros", "zero indices mod m form the multiples of alpha", parents=[ab])
+    p = cmd("zeros", "zero indices mod m form the multiples of alpha", parents=[ab, states])
     p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None, help="largest index checked (default 100)")
+    p.add_argument("--limit", type=_positive_int, default=100,
+                   help="largest index checked (default %(default)s)")
 
-    p = cmd("bound", "trailing-zero counts in base m with the log-ratio bound", parents=[ab])
+    p = cmd("bound", "trailing-zero counts in base m with the log-ratio bound",
+            parents=[ab, digits])
     p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True,
                    help="the base the terms are written in")
-    p.add_argument("--limit", type=int, default=None, help="largest index (default 200)")
+    p.add_argument("--limit", type=_positive_int, default=200,
+                   help="largest index (default %(default)s)")
 
     cmd("identities", "run the exact identity checks for one (A, B)", parents=[ab])
 
-    p = cmd("wss", "scan primes for k(p^2) = k(p)", parents=[ab])
-    p.add_argument("--limit", type=int, default=None, help="scan primes <= limit (default 1000)")
+    p = cmd("wss", "scan primes for k(p^2) = k(p)", parents=[ab, states])
+    p.add_argument("--limit", type=_positive_int, default=1000,
+                   help="scan primes <= limit (default %(default)s)")
 
-    p = cmd("atlas", "bulk cycle/rank table over parameter ranges")
+    p = cmd("atlas", "bulk cycle/rank table over parameter ranges", parents=[states])
     p.add_argument("--A-range", dest="A_range", required=True,
                    help="range 'lo..hi' or comma list")
     p.add_argument("--B-range", dest="B_range", required=True)

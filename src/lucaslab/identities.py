@@ -7,12 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from sympy import isprime
 
-from .core import RecurrenceParams, companion, term, term_pair
+from .core import RecurrenceParams, cassini_value, companion, term, term_pair
 from .errors import HypothesisNotMetError
 from .modular import term_mod
+
+DET_POWER_MODULI = (3, 5, 7, 9)
 
 
 @dataclass(frozen=True)
@@ -133,3 +136,33 @@ def period_step_congruence(params: RecurrenceParams, a: int,
     lhs = (2 ** a % modulus) * term_mod(params, a * n + 1, modulus) % modulus
     rhs = pow(companion(params, n), a, modulus)
     return _result(lhs, rhs, modulus, context)
+
+
+# --- first-violation probes over fixed bounds, shared by `verify` and the `identities` command
+
+def multiplication_formula_violation(params: RecurrenceParams) -> tuple[int, int] | None:
+    """First (a, n) with a <= 8, n <= 12 where the multiplication expansion fails."""
+    return next(((a, n) for a, n in product(range(1, 9), range(1, 13))
+                 if not multiplication_formula_check(params, a, n).holds), None)
+
+
+def det_power_identity_violation(params: RecurrenceParams, p: int) -> int | None:
+    """First n <= 15 where the determinant power identity fails for p."""
+    return next((n for n in range(1, 16) if not det_power_identity_check(params, p, n).holds), None)
+
+
+def period_step_violation(params: RecurrenceParams) -> tuple[int, int] | None:
+    """First (a, n) with a <= 6, n <= 12 where the period-step congruence fails."""
+    return next(((a, n) for a, n in product(range(1, 7), range(1, 13))
+                 if not period_step_congruence(params, a, n).holds), None)
+
+
+def gcd_companion_violation(params: RecurrenceParams) -> int | None:
+    """First n <= 30 with gcd(v(n), e(n)) outside {1, 2}; needs gcd(A, B) = 1."""
+    return gcd_companion_check(params, 30)[1]
+
+
+def cassini_sign_violation(params: RecurrenceParams) -> int | None:
+    """First n <= 40 where e(n+1)e(n-1) - e(n)^2 = (-1)^n B^(n-1) fails."""
+    return next((n for n in range(1, 41)
+                 if cassini_value(params, n) != (-1) ** n * params.B ** (n - 1)), None)

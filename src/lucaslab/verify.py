@@ -1,7 +1,11 @@
 """The full property-verification engine behind the `verify` subcommand.
 
-Every suite sweeps a configurable (A, B) grid and emits one record per case
-group. Classification is three-valued:
+A suite is a probe plus `_sweep`: the probe tests one case, an (A, B) pair
+or a (pair, p) case, and returns None when the law held or the violation it
+found; `_sweep` runs it over the configured grid and turns each answer into
+one record. A probe returns a `Verdict` only for a case it classifies itself:
+a known exception, or a pass whose detail depends on the data.
+Classification is three-valued:
 
   pass            the property held everywhere it was tested
   fail            a violation outside every documented exception class
@@ -23,7 +27,6 @@ from typing import Callable, Iterable, Iterator
 from .core import (
     DEFAULT_DIGIT_BUDGET,
     RecurrenceParams,
-    cassini_value,
     companion,
     seeded_term,
     term_pair,
@@ -38,11 +41,13 @@ from .divisibility import (
 )
 from .errors import DegenerateSequenceError
 from .identities import (
-    det_power_identity_check,
+    DET_POWER_MODULI,
+    cassini_sign_violation,
+    det_power_identity_violation,
     determinant_congruence_check,
-    gcd_companion_check,
-    multiplication_formula_check,
-    period_step_congruence,
+    gcd_companion_violation,
+    multiplication_formula_violation,
+    period_step_violation,
 )
 from .modular import (
     DEFAULT_STATE_BUDGET,
@@ -148,31 +153,38 @@ class VerifySummary:
         return self.failed == 0
 
 
-def _ok(suite: str, case: str, detail: str) -> CheckRecord:
-    return CheckRecord(suite, case, True, "pass", detail)
+@dataclass(frozen=True)
+class Verdict:
+    """A probe's own classification of a case: a known exception, or a data-dependent pass."""
+
+    classification: str
+    detail: str
 
 
-def _fail(suite: str, case: str, detail: str) -> CheckRecord:
-    return CheckRecord(suite, case, False, "fail", detail)
-
-
-def _known(suite: str, case: str, detail: str) -> CheckRecord:
-    return CheckRecord(suite, case, False, "known-exception", detail)
-
-
-def _sweep(name: str, grid: Iterable[RecurrenceParams],
-           probe: Callable[[RecurrenceParams], object], ok: str,
+def _sweep(name: str, cases: Iterable, probe: Callable[..., object], ok: str | None,
            fail: str) -> Iterator[CheckRecord]:
-    """One record per pair: pass with detail ok, or fail with fail.format(violation).
+    """One record per case: a RecurrenceParams, or a (params, p) pair labelled "(A=.., B=..) p=..".
 
-    probe returns the pair's first violation, or None when the law held.
+    probe(*case) returns None for a pass (detail ok), a Verdict, or else the
+    violation, which fails with detail fail.format(violation).
     """
-    for params in grid:
-        bad = probe(params)
-        if bad is None:
-            yield _ok(name, str(params), ok)
-        else:
-            yield _fail(name, str(params), fail.format(bad))
+    for case in cases:
+        args = case if isinstance(case, tuple) else (case,)
+        got = probe(*args)
+        if not isinstance(got, Verdict):
+            got = Verdict("pass", ok) if got is None else Verdict("fail", fail.format(got))
+        yield CheckRecord(name, " p=".join(map(str, args)), got.classification == "pass",
+                          got.classification, got.detail)
+
+
+def _prime_cases(grid: list[RecurrenceParams], primes: tuple[int, ...]) -> list[tuple]:
+    """The (params, p) cases of grid, for each p in primes that does not divide B."""
+    return [(params, p) for params in grid for p in primes if params.B % p]
+
+
+def _moduli(params: RecurrenceParams, m_max: int, unit: bool) -> list[int]:
+    """The moduli 2..m_max that are coprime to B (unit) or share a factor with it."""
+    return [m for m in range(2, m_max + 1) if (math.gcd(params.B, m) == 1) == unit]
 
 
 # --- exact-arithmetic suites -------------------------------------------------
@@ -232,25 +244,17 @@ def _suite_seeded_combination(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 
 def _suite_cassini_sign_law(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        return next((n for n in range(1, 41)
-                     if cassini_value(params, n) != (-1) ** n * params.B ** (n - 1)), None)
-    return _sweep("cassini_sign_law", config.grid(), probe,
+    return _sweep("cassini_sign_law", config.grid(), cassini_sign_violation,
                   "e(n+1)e(n-1) - e(n)^2 = (-1)^n B^(n-1), n <= 40", "sign law broken at n = {}")
 
 
 def _suite_multiplication_formula(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        return next(((a, n) for a, n in product(range(1, 9), range(1, 13))
-                     if not multiplication_formula_check(params, a, n).holds), None)
-    return _sweep("multiplication_formula", config.grid(), probe,
+    return _sweep("multiplication_formula", config.grid(), multiplication_formula_violation,
                   "a <= 8, n <= 12, exact", "expansion fails at (a, n) = {}")
 
 
 def _suite_gcd_companion(config: VerifyConfig) -> Iterator[CheckRecord]:
-    # gcd_companion_check's second item is the first violating n, None when it holds.
-    return _sweep("gcd_companion", config.coprime_grid(),
-                  lambda params: gcd_companion_check(params, 30)[1],
+    return _sweep("gcd_companion", config.coprime_grid(), gcd_companion_violation,
                   "gcd(v(n), e(n)) in {1, 2} for n <= 30", "gcd outside {{1, 2}} at n = {}")
 
 
@@ -277,9 +281,7 @@ def _suite_purity_gcd_law(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
-        for m in range(2, 51):
-            if math.gcd(params.B, m) != 1:
-                continue
+        for m in _moduli(params, 50, True):
             k = period(params, m, state_budget=config.state_budget)
             cs = cycle_structure(params, m, state_budget=config.state_budget)
             rr = rank(params, m, state_budget=config.state_budget)
@@ -292,9 +294,7 @@ def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 def _suite_zero_index_progression(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
-        for m in range(2, 51):
-            if math.gcd(params.B, m) != 1:
-                continue
+        for m in _moduli(params, 50, True):
             k = period(params, m, state_budget=config.state_budget)
             chk = zero_indices_check(params, m, 4 * k, state_budget=config.state_budget)
             if not chk.holds:
@@ -306,102 +306,71 @@ def _suite_zero_index_progression(config: VerifyConfig) -> Iterator[CheckRecord]
 
 
 def _suite_period_ladder(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "period_ladder"
-    for params in config.grid():
-        for p in LADDER_PRIMES:
-            if params.B % p == 0:
-                continue
-            rep = period_law_report(params, p, 3, state_budget=config.state_budget)
-            mono = all(k2 % k1 == 0 and k2 // k1 in (1, p)
-                       for (_, k1), (_, k2) in zip(rep.ladder, rep.ladder[1:]))
-            case = f"{params} p={p}"
-            if not mono:
-                yield _fail(name, case, f"ladder not monotone: {rep.ladder}")
-            elif rep.law_holds:
-                yield _ok(name, case, f"ladder {list(rep.ladder)}, t={rep.t}")
-            elif p == 2:
-                yield _known(name, case,
-                             f"2-adic scaling anomaly: ladder {list(rep.ladder)}, t={rep.t}")
-            else:
-                yield _fail(name, case, f"scaling law fails: ladder {list(rep.ladder)}")
+    def probe(params, p):
+        rep = period_law_report(params, p, 3, state_budget=config.state_budget)
+        if not all(k2 % k1 == 0 and k2 // k1 in (1, p)
+                   for (_, k1), (_, k2) in zip(rep.ladder, rep.ladder[1:])):
+            return f"ladder not monotone: {rep.ladder}"
+        if rep.law_holds:
+            return Verdict("pass", f"ladder {list(rep.ladder)}, t={rep.t}")
+        if p == 2:
+            return Verdict("known-exception",
+                           f"2-adic scaling anomaly: ladder {list(rep.ladder)}, t={rep.t}")
+        return f"scaling law fails: ladder {list(rep.ladder)}"
+    return _sweep("period_ladder", _prime_cases(config.grid(), LADDER_PRIMES), probe, None, "{}")
 
 
 def _suite_squares_period(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "squares_period"
-    for params in config.grid():
-        for p in SQUARES_PRIMES:
-            if params.B % p == 0:
-                continue
-            sq = squares_period_law_report(params, p, 2, state_budget=config.state_budget)
-            pair = period_law_report(params, p, 2, state_budget=config.state_budget)
-            divides = all(kp % kq == 0 for (_, kq), (_, kp) in zip(sq.ladder, pair.ladder))
-            case = f"{params} p={p}"
-            if not divides:
-                yield _fail(name, case,
-                            f"squares period does not divide pair period: {sq.ladder} vs {pair.ladder}")
-            elif sq.law_holds:
-                yield _ok(name, case, f"squares ladder {list(sq.ladder)}, t={sq.t}")
-            else:
-                yield _fail(name, case, f"squares scaling law fails: {list(sq.ladder)}")
+    def probe(params, p):
+        sq = squares_period_law_report(params, p, 2, state_budget=config.state_budget)
+        pair = period_law_report(params, p, 2, state_budget=config.state_budget)
+        if not all(kp % kq == 0 for (_, kq), (_, kp) in zip(sq.ladder, pair.ladder)):
+            return f"squares period does not divide pair period: {sq.ladder} vs {pair.ladder}"
+        if sq.law_holds:
+            return Verdict("pass", f"squares ladder {list(sq.ladder)}, t={sq.t}")
+        return f"squares scaling law fails: {list(sq.ladder)}"
+    return _sweep("squares_period", _prime_cases(config.grid(), SQUARES_PRIMES), probe, None,
+                  "{}")
 
 
 def _suite_cycle_entry(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "cycle_entry"
-    for params in config.grid():
-        bad = None
-        tested = 0
-        for m in range(2, 41):
-            if math.gcd(params.B, m) == 1:
-                continue
+    def probe(params):
+        moduli = _moduli(params, 40, False)
+        for m in moduli:
             chk = cycle_entry_check(params, m, state_budget=config.state_budget)
-            tested += 1
             if not chk.consistent:
-                bad = (m, chk.predicted, chk.observed, chk.pair_on_cycle)
-                break
-        if tested == 0:
-            continue
-        if bad is None:
-            yield _ok(name, str(params), f"{tested} degenerate moduli m <= 40 all consistent")
-        else:
-            yield _fail(name, str(params),
-                        f"m={bad[0]}: predicted {bad[1]}, observed {bad[2]} (on cycle: {bad[3]})")
+                return m, chk.predicted, chk.observed, chk.pair_on_cycle
+        return Verdict("pass", f"{len(moduli)} degenerate moduli m <= 40 all consistent")
+    grid = [params for params in config.grid() if _moduli(params, 40, False)]
+    return _sweep("cycle_entry", grid, probe, None,
+                  "m={0[0]}: predicted {0[1]}, observed {0[2]} (on cycle: {0[3]})")
 
 
 # --- divisibility suites -----------------------------------------------------
 
 def _suite_repetition_law(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "repetition_law"
-    for params in config.coprime_grid():
-        for p in (2,) + ODD_PRIMES_37:
-            if params.B % p == 0:
-                continue
-            case = f"{params} p={p}"
-            try:
-                rep = repetition_law_check(params, p)
-            except DegenerateSequenceError as exc:
-                yield _known(name, case, f"degenerate: {exc}")
-                continue
-            multiple_ok = (rep.observed_next_rank is None
-                           or rep.observed_next_rank % rep.base_rank == 0)
-            if not multiple_ok:
-                yield _fail(name, case,
-                            f"next rank {rep.observed_next_rank} not a multiple of {rep.base_rank}")
-            elif rep.holds:
-                yield _ok(name, case,
-                          f"rank {rep.base_rank}, valuation {rep.base_valuation} -> +1 at {rep.observed_next_rank}")
-            elif p == 2:
-                yield _known(name, case,
-                             f"2-adic valuation jump: rank {rep.base_rank}, "
-                             f"nu_2(e({rep.predicted_next_rank})) = {rep.observed_valuation_at_pn} "
-                             f"!= {rep.base_valuation + 1}")
-            else:
-                yield _fail(name, case, f"law fails at odd prime: {rep}")
+    def probe(params, p):
+        try:
+            rep = repetition_law_check(params, p)
+        except DegenerateSequenceError as exc:
+            return Verdict("known-exception", f"degenerate: {exc}")
+        if rep.observed_next_rank is not None and rep.observed_next_rank % rep.base_rank:
+            return f"next rank {rep.observed_next_rank} not a multiple of {rep.base_rank}"
+        if rep.holds:
+            return Verdict("pass", f"rank {rep.base_rank}, valuation {rep.base_valuation} "
+                                   f"-> +1 at {rep.observed_next_rank}")
+        if p == 2:
+            return Verdict("known-exception",
+                           f"2-adic valuation jump: rank {rep.base_rank}, "
+                           f"nu_2(e({rep.predicted_next_rank})) = {rep.observed_valuation_at_pn} "
+                           f"!= {rep.base_valuation + 1}")
+        return f"law fails at odd prime: {rep}"
+    return _sweep("repetition_law", _prime_cases(config.coprime_grid(), (2,) + ODD_PRIMES_37),
+                  probe, None, "{}")
 
 
 def _suite_square_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "square_divisibility"
-    for params in config.coprime_grid():
-        bad = None
+    def probe(params):
         skipped = []
         for n in range(1, 9):
             try:
@@ -411,13 +380,12 @@ def _suite_square_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
                 skipped.append(n)
                 continue
             if not chk.holds:
-                bad = (n, chk.counterexamples[0])
-                break
-        if bad:
-            yield _fail(name, str(params), f"biconditional fails at n={bad[0]}: m={bad[1][0]}")
-        else:
-            extra = f" (zero-term n skipped: {skipped})" if skipped else ""
-            yield _ok(name, str(params), f"n <= 8, m <= 30{extra}")
+                return n, chk.counterexamples[0][0]
+        if skipped:
+            return Verdict("pass", f"n <= 8, m <= 30 (zero-term n skipped: {skipped})")
+        return None
+    return _sweep("square_divisibility", config.coprime_grid(), probe, "n <= 8, m <= 30",
+                  "biconditional fails at n={0[0]}: m={0[1]}")
 
 
 def _suite_power_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
@@ -429,23 +397,18 @@ def _suite_power_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 
 def _suite_divisibility_sequence(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "divisibility_sequence"
-    for params in config.coprime_grid():
+    def probe(params):
         chk = divisibility_sequence_check(params, 15, 60)
-        case = str(params)
         if chk.holds:
-            yield _ok(name, case,
-                      f"a <= 15, b <= 60; degenerate indices {list(chk.degenerate)}")
-            continue
-        collisions_only = all(e_d % e_a == 0
-                              for (_, _, _, e_a, e_d) in chk.counterexamples)
-        if collisions_only:
-            yield _known(name, case,
-                         f"magnitude collisions at a in {list(chk.collision_indices)}: "
-                         f"|e(a)| divides an earlier |e(gcd(a, b))|; "
-                         f"first witness {chk.counterexamples[0]}")
-        else:
-            yield _fail(name, case, f"counterexamples {chk.counterexamples[:3]}")
+            return Verdict("pass", f"a <= 15, b <= 60; degenerate indices {list(chk.degenerate)}")
+        if all(e_d % e_a == 0 for (_, _, _, e_a, e_d) in chk.counterexamples):
+            return Verdict("known-exception",
+                           f"magnitude collisions at a in {list(chk.collision_indices)}: "
+                           f"|e(a)| divides an earlier |e(gcd(a, b))|; "
+                           f"first witness {chk.counterexamples[0]}")
+        return chk.counterexamples[:3]
+    return _sweep("divisibility_sequence", config.coprime_grid(), probe, None,
+                  "counterexamples {}")
 
 
 def _suite_trailing_zeros(config: VerifyConfig) -> Iterator[CheckRecord]:
@@ -466,8 +429,6 @@ def _suite_trailing_zeros(config: VerifyConfig) -> Iterator[CheckRecord]:
 # --- congruence suites ---------------------------------------------------------
 
 def _suite_determinant_congruence(config: VerifyConfig) -> Iterator[CheckRecord]:
-    name = "determinant_congruence"
-
     def probe(params, p):
         for e in (1, 2):
             alpha = rank(params, p ** e, state_budget=config.state_budget).alpha
@@ -478,33 +439,21 @@ def _suite_determinant_congruence(config: VerifyConfig) -> Iterator[CheckRecord]
                 if not res.holds:
                     return e, j * alpha, res.lhs, res.rhs
         return None
-
-    for params in config.grid():
-        for p in CONGRUENCE_PRIMES:
-            if params.B % p == 0:
-                continue
-            bad = probe(params, p)
-            case = f"{params} p={p}"
-            if bad:
-                yield _fail(name, case, f"congruence fails: {bad}")
-            else:
-                yield _ok(name, case, "e in {1, 2}, first three rank multiples")
+    return _sweep("determinant_congruence", _prime_cases(config.grid(), CONGRUENCE_PRIMES), probe,
+                  "e in {1, 2}, first three rank multiples", "congruence fails: {}")
 
 
 def _suite_det_power_identity(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
-        return next(((p, n) for p, n in product((3, 5, 7, 9), range(1, 16))
-                     if not det_power_identity_check(params, p, n).holds), None)
+        return next(((p, n) for p in DET_POWER_MODULI
+                     if (n := det_power_identity_violation(params, p)) is not None), None)
     return _sweep("det_power_identity", config.grid(), probe,
                   "odd p <= 9 (incl. composite 9), n <= 15, exact",
                   "identity fails at (p, n) = {}")
 
 
 def _suite_period_step(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        return next(((a, n) for a, n in product(range(1, 7), range(1, 13))
-                     if not period_step_congruence(params, a, n).holds), None)
-    return _sweep("period_step_congruence", config.grid(), probe,
+    return _sweep("period_step_congruence", config.grid(), period_step_violation,
                   "a <= 6, n <= 12 (vacuous moduli trivially true)",
                   "congruence fails at (a, n) = {}")
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from lucaslab import identities
 from lucaslab.cli import main
 
 from .conftest import naive_terms
@@ -110,12 +112,63 @@ def test_bound(capsys):
 def test_identities(capsys):
     code, out = run_cli(capsys, "identities", "-A", "2", "-B", "1")
     assert code == 0
-    recs = [json.loads(line) for line in out.splitlines()]
-    assert all(r["holds"] for r in recs)
-    assert {r["check"] for r in recs} == {
-        "multiplication_formula", "det_power_identity", "period_step_congruence",
-        "gcd_companion", "cassini_sign_law",
-    }
+    head = '{"A":2,"B":1,"check":'
+    assert out.splitlines() == [head + tail for tail in (
+        '"multiplication_formula","case":"a<=8 n<=12","holds":true,"detail":""}',
+        '"det_power_identity","case":"p=3 n<=15","holds":true,"detail":""}',
+        '"det_power_identity","case":"p=5 n<=15","holds":true,"detail":""}',
+        '"det_power_identity","case":"p=7 n<=15","holds":true,"detail":""}',
+        '"det_power_identity","case":"p=9 n<=15","holds":true,"detail":""}',
+        '"period_step_congruence","case":"a<=6 n<=12","holds":true,"detail":""}',
+        '"gcd_companion","case":"n<=30","holds":true,"detail":""}',
+        '"cassini_sign_law","case":"n<=40","holds":true,"detail":""}',
+    )]
+
+
+def test_identities_csv_skips_gcd_companion_when_not_coprime(capsys):
+    code, out = run_cli(capsys, "identities", "-A", "2", "-B", "2", "--format", "csv")
+    assert code == 0
+    assert out == ("A,B,check,case,holds,detail\n"
+                   "2,2,multiplication_formula,a<=8 n<=12,true,\n"
+                   "2,2,det_power_identity,p=3 n<=15,true,\n"
+                   "2,2,det_power_identity,p=5 n<=15,true,\n"
+                   "2,2,det_power_identity,p=7 n<=15,true,\n"
+                   "2,2,det_power_identity,p=9 n<=15,true,\n"
+                   "2,2,period_step_congruence,a<=6 n<=12,true,\n"
+                   "2,2,cassini_sign_law,n<=40,true,\n")
+
+
+def test_identities_failing_check_exits_1(monkeypatch, capsys):
+    # A kernel that is wrong at index 45 breaks det_power_identity at p*n = 45
+    # (p = 3, 5, 9) and nothing else the command checks.
+    real = identities.term_pair
+
+    def corrupt(params, n, m=None):
+        a, b = real(params, n, m)
+        return (a + 1, b) if n == 45 else (a, b)
+
+    monkeypatch.setattr(identities, "term_pair", corrupt)
+    code, out = run_cli(capsys, "identities", "-A", "1", "-B", "1")
+    assert code == 1
+    failed = {r["case"]: r["detail"] for r in map(json.loads, out.splitlines()) if not r["holds"]}
+    assert failed == {"p=3 n<=15": "fails at n=15", "p=5 n<=15": "fails at n=9",
+                      "p=9 n<=15": "fails at n=5"}
+
+
+def test_identities_multiplication_failure_is_one_row(monkeypatch, capsys):
+    # Like the other four checks, a failing expansion reports only its first (a, n).
+    real = identities.multiplication_formula_check
+
+    def fake(params, a, n):
+        res = real(params, a, n)
+        return replace(res, holds=False) if (a, n) in {(3, 4), (5, 2)} else res
+
+    monkeypatch.setattr(identities, "multiplication_formula_check", fake)
+    code, out = run_cli(capsys, "identities", "-A", "1", "-B", "1")
+    assert code == 1
+    assert [r for r in map(json.loads, out.splitlines()) if not r["holds"]] == [
+        {"A": 1, "B": 1, "check": "multiplication_formula", "case": "a<=8 n<=12",
+         "holds": False, "detail": "fails at (a, n)=(3, 4)"}]
 
 
 def test_wss(capsys):
@@ -248,6 +301,28 @@ def test_budget_must_be_positive(capsys, value):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"--budget: expected a positive integer, got '{value}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "repetition -A 1 -B 1 --p 3", "square-div -A 1 -B 1 -n 5", "power-div -A 1 -B 1 -n 4",
+    "zeros -A 1 -B 1 -m 5", "bound -A 1 -B 1 -m 10", "wss -A 2 -B 1",
+])
+def test_limit_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--limit", "0"])
+    assert exc.value.code == 2
+    assert "--limit: expected a positive integer, got '0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "term-mod -A 1 -B 1 -n 5 -m 7", "repetition -A 1 -B 1 --p 3", "power-div -A 1 -B 1 -n 4",
+    "div-seq -A 1 -B 1", "identities -A 1 -B 1", "verify",
+])
+def test_budget_only_on_commands_that_read_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 def test_console_script_installed():

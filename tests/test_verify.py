@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from lucaslab import VerifyConfig, parse_config, run_verification, verify
 from lucaslab.cli import main
-from lucaslab.verify import SUITES
+from lucaslab.verify import SUITES, CheckRecord
 
 
 def test_parse_config_full():
@@ -153,3 +154,63 @@ def test_sweep_reports_first_violation(monkeypatch, tmp_path, capsys, bad_n):
     assert main(["verify", "--config", str(path)]) == 1
     first = json.loads(capsys.readouterr().out.splitlines()[0])
     assert (first["classification"], first["detail"]) == ("fail", f"pair mismatch at n = {bad_n}")
+
+
+def _tamper(**changes):
+    """Wrap a law function so that every report it returns carries changes."""
+    return lambda real: lambda *args, **kwargs: replace(real(*args, **kwargs), **changes)
+
+
+FAILED_REPORT = "RepetitionLawReport(p=3, base_rank=4, base_valuation=1, predicted_next_rank=12, " \
+           "observed_next_rank=12, observed_valuation_at_pn=2, holds=False)"
+
+
+@pytest.mark.parametrize("suite, law, fake, pair, case, classification, detail", [
+    pytest.param("period_ladder", "period_law_report",
+                 _tamper(ladder=((1, 8), (2, 20), (3, 72))), (1, 1), "(A=1, B=1) p=3", "fail",
+                 "ladder not monotone: ((1, 8), (2, 20), (3, 72))", id="ladder-monotone"),
+    pytest.param("period_ladder", "period_law_report", _tamper(law_holds=False), (1, 1),
+                 "(A=1, B=1) p=3", "fail", "scaling law fails: ladder [(1, 8), (2, 24), (3, 72)]",
+                 id="ladder-scaling"),
+    pytest.param("period_ladder", "period_law_report", _tamper(law_holds=False), (1, 1),
+                 "(A=1, B=1) p=2", "known-exception",
+                 "2-adic scaling anomaly: ladder [(1, 3), (2, 6), (3, 12)], t=1", id="ladder-2-adic"),
+    pytest.param("squares_period", "squares_period_law_report",
+                 _tamper(ladder=((1, 5), (2, 12))), (1, 1), "(A=1, B=1) p=3", "fail",
+                 "squares period does not divide pair period: ((1, 5), (2, 12)) vs ((1, 8), (2, 24))",
+                 id="squares-divides"),
+    pytest.param("squares_period", "squares_period_law_report", _tamper(law_holds=False), (1, 1),
+                 "(A=1, B=1) p=3", "fail", "squares scaling law fails: [(1, 4), (2, 12)]",
+                 id="squares-scaling"),
+    pytest.param("cycle_entry", "cycle_entry_check", _tamper(consistent=False), (1, 2),
+                 "(A=1, B=2)", "fail", "m=2: predicted 1, observed 1 (on cycle: True)",
+                 id="cycle-entry"),
+    pytest.param("repetition_law", "repetition_law_check", _tamper(observed_next_rank=10), (1, 1),
+                 "(A=1, B=1) p=3", "fail", "next rank 10 not a multiple of 4",
+                 id="repetition-multiple"),
+    pytest.param("repetition_law", "repetition_law_check", _tamper(holds=False), (1, 1),
+                 "(A=1, B=1) p=3", "fail", f"law fails at odd prime: {FAILED_REPORT}",
+                 id="repetition-odd-prime"),
+    pytest.param("square_divisibility", "square_divisibility_check",
+                 _tamper(holds=False, counterexamples=((7, 13),)), (1, 1), "(A=1, B=1)", "fail",
+                 "biconditional fails at n=1: m=7", id="square-divisibility"),
+    pytest.param("divisibility_sequence", "divisibility_sequence_check",
+                 _tamper(holds=False, counterexamples=((3, 4, 1, 2, 1), (3, 5, 1, 2, 1),
+                                                        (3, 7, 1, 2, 1), (3, 8, 1, 2, 1))),
+                 (1, 1), "(A=1, B=1)", "fail",
+                 "counterexamples ((3, 4, 1, 2, 1), (3, 5, 1, 2, 1), (3, 7, 1, 2, 1))",
+                 id="divisibility-sequence"),
+    pytest.param("determinant_congruence", "determinant_congruence_check",
+                 _tamper(holds=False, lhs=1, rhs=2), (1, 1), "(A=1, B=1) p=3", "fail",
+                 "congruence fails: (1, 4, 1, 2)", id="determinant-congruence"),
+])
+def test_suite_violation_branches(monkeypatch, suite, law, fake, pair, case, classification,
+                                  detail):
+    # A law function that reports a violation must reach the suite's fail or
+    # known-exception branch with the exact detail.
+    monkeypatch.setattr(verify, law, fake(getattr(verify, law)))
+    A, B = pair
+    cfg = VerifyConfig(a_min=A, a_max=A, b_min=B, b_max=B, suites=(suite,))
+    records, _ = run_verification(cfg)
+    assert {r.case: r for r in records}[case] == CheckRecord(suite, case, False, classification,
+                                                             detail)
