@@ -34,7 +34,6 @@ from .errors import (
     HypothesisNotMetError,
     LucasLabError,
     NoPurePeriodError,
-    RankNotFoundError,
 )
 from .identities import (
     CongruenceCheckResult,
@@ -80,7 +79,6 @@ __all__ = [
     "Mat2",
     "NoPurePeriodError",
     "PeriodLawReport",
-    "RankNotFoundError",
     "RankReport",
     "RecurrenceParams",
     "RepetitionLawReport",

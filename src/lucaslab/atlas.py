@@ -70,28 +70,27 @@ class AtlasRow:
 def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
                m_values: Iterable[int],
                state_budget: int = DEFAULT_STATE_BUDGET) -> Iterator[AtlasRow]:
-    """Yield one AtlasRow per triple, in (A, B, m) lexicographic order.
+    """Lazily produce one AtlasRow per triple, in (A, B, m) lexicographic order.
 
-    B = 0 is skipped automatically; every m must be >= 2. A budget blowup
-    produces an error row for that triple instead of aborting the batch.
+    B = 0 is skipped automatically. Every m must be >= 2, checked when the
+    call is made, before any row exists. A budget blowup produces an error
+    row for that triple instead of aborting the batch.
     """
     m_sorted = sorted(set(m_values))
-    for m in m_sorted:
-        if m < 2:
-            raise ValueError(f"every modulus must be >= 2, got {m}")
-    for A in sorted(set(A_values)):
-        for B in sorted(set(B_values)):
-            if B == 0:
-                continue
-            params = RecurrenceParams(A, B)
-            for m in m_sorted:
-                try:
-                    tail, cyc, xs = _pair_orbit(params, m, state_budget)
-                except BudgetExceededError as exc:
-                    yield AtlasRow(A=A, B=B, m=m, error=str(exc))
-                    continue
-                yield AtlasRow(A=A, B=B, m=m, pure=tail == 0, tail_len=tail,
-                               cycle_len=cyc, alpha=_first_zero(tail, cyc, xs))
+    if m_sorted and m_sorted[0] < 2:
+        raise ValueError(f"every modulus must be >= 2, got {m_sorted[0]}")
+    B_sorted = sorted(set(B_values) - {0})
+    return (_atlas_row(A, B, m, state_budget) for A in sorted(set(A_values))
+            for B in B_sorted for m in m_sorted)
+
+
+def _atlas_row(A: int, B: int, m: int, state_budget: int) -> AtlasRow:
+    try:
+        tail, cyc, xs = _pair_orbit(RecurrenceParams(A, B), m, state_budget)
+    except BudgetExceededError as exc:
+        return AtlasRow(A=A, B=B, m=m, error=str(exc))
+    return AtlasRow(A=A, B=B, m=m, pure=tail == 0, tail_len=tail,
+                    cycle_len=cyc, alpha=_first_zero(tail, cyc, xs))
 
 
 # ---------------------------------------------------------------------------

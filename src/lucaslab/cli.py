@@ -104,7 +104,7 @@ def _cmd_squares_law(args):
 
 
 def _cmd_repetition(args):
-    rep = repetition_law_check(_params(args), args.p, scan_bound=args.limit or 0)
+    rep = repetition_law_check(_params(args), args.p)
     rec = {"A": args.A, "B": args.B, "p": args.p,
            "base_rank": rep.base_rank, "base_valuation": rep.base_valuation,
            "predicted_next_rank": rep.predicted_next_rank,
@@ -330,8 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("repetition", "law of repetition at a prime", parents=[ab])
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--limit", type=_positive_int, default=None,
-                   help="index scan bound (default 2*p*rank)")
 
     p = cmd("square-div", "e(n)^2 | e(n*m) iff e(n) | m, for m up to --limit",
             parents=[ab, digits])

@@ -22,7 +22,7 @@ from .core import (
     terms,
     valuation,  # noqa: F401  (re-exported: lucaslab.divisibility.valuation)
 )
-from .errors import DegenerateSequenceError, RankNotFoundError
+from .errors import DegenerateSequenceError
 from .modular import rank, term_mod
 
 
@@ -42,14 +42,13 @@ class RepetitionLawReport:
     holds: bool
 
 
-def repetition_law_check(params: RecurrenceParams, p: int,
-                         scan_bound: int = 0) -> RepetitionLawReport:
-    """Locate the rank of p, then find where the valuation first increases.
+def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawReport:
+    """Locate the rank alpha of p, then find where the valuation first increases.
 
-    scan_bound caps the index scan; 0 means "2*p*rank", comfortably past the
-    predicted next rank. Raises RankNotFoundError if p never divides e(n) in
-    range, and DegenerateSequenceError if e(rank) is exactly zero (infinite
-    valuation; the law is vacuous there).
+    The scan tests the multiples of alpha up to 2*p*alpha, past the predicted
+    next rank p*alpha, each as one residue mod p^(v+1). Raises
+    DegenerateSequenceError if e(alpha) is exactly zero (infinite valuation;
+    the law is vacuous there).
     """
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -60,19 +59,16 @@ def repetition_law_check(params: RecurrenceParams, p: int,
     report = rank(params, p)
     alpha, base_val = report.alpha, report.valuation_at_alpha
     assert alpha is not None  # p does not divide B, so the orbit returns to (0, 1)
-    if scan_bound and alpha > scan_bound:
-        raise RankNotFoundError(f"no zero of e(n) mod {p} for n <= {scan_bound}")
     if base_val == math.inf:
         raise DegenerateSequenceError(
             f"e({alpha}) = 0 exactly for {params}; prime-power repetition is vacuous"
         )
     assert isinstance(base_val, int)
 
-    bound = scan_bound if scan_bound else 2 * p * alpha
     # Zeros mod p sit exactly at multiples of alpha, so only those can carry
     # the higher power p^(base_val + 1).
     higher = p ** (base_val + 1)
-    observed = next((j for j in range(2 * alpha, bound + 1, alpha)
+    observed = next((j for j in range(2 * alpha, 2 * p * alpha + 1, alpha)
                      if term_mod(params, j, higher) == 0), None)
     # e(alpha) | e(p*alpha). The scan ends: a coprime family with a finite
     # valuation at alpha is nondegenerate, so e(p*alpha) != 0.
@@ -95,7 +91,9 @@ def repetition_law_check(params: RecurrenceParams, p: int,
 class DivisibilityCheck:
     """Verdict plus counterexamples for one of the divisibility biconditionals.
 
-    degenerate lists indices exempted as trivial (|e(index)| <= 1).
+    A counterexample is (m, e(n*m) mod e(n)^2) for square_divisibility_check
+    and (k, n*e(n)^k) for power_divisibility_check. degenerate lists indices
+    exempted as trivial (|e(index)| <= 1).
     """
 
     holds: bool
@@ -105,22 +103,24 @@ class DivisibilityCheck:
 
 def square_divisibility_check(params: RecurrenceParams, n: int, m_max: int,
                               digit_budget: int = DEFAULT_DIGIT_BUDGET) -> DivisibilityCheck:
-    """Check e(n)^2 | e(n*m) <=> e(n) | m for every m in [1, m_max]."""
+    """Check e(n)^2 | e(n*m) <=> e(n) | m for every m in [1, m_max].
+
+    The digit budget bounds e(n*m_max) and is checked before any work. Only
+    e(n) is built exactly; each m is one residue e(n*m) mod e(n)^2.
+    """
     _require_coprime(params)
     if n < 1 or m_max < 1:
         raise ValueError("n and m_max must be positive")
+    check_term_budget(params, n * m_max, digit_budget)
     e_n = term(params, n)
     if e_n == 0:
         raise DegenerateSequenceError(f"e({n}) = 0 for {params}; the biconditional is vacuous")
-    check_term_budget(params, n * m_max, digit_budget)
     square = e_n * e_n
     counterexamples = []
-    values = terms(params, n * m_max)
     for m in range(1, m_max + 1):
-        lhs = values[n * m] % square == 0
-        rhs = m % abs(e_n) == 0
-        if lhs != rhs:
-            counterexamples.append((m, values[n * m]))
+        residue = term_pair(params, n * m, square)[0]
+        if (residue == 0) != (m % e_n == 0):
+            counterexamples.append((m, residue))
     return DivisibilityCheck(holds=not counterexamples,
                              counterexamples=tuple(counterexamples))
 

@@ -22,10 +22,6 @@ class BudgetExceededError(LucasLabError):
     """Raised when a scan or exact-term computation exceeds its budget."""
 
 
-class RankNotFoundError(LucasLabError):
-    """Raised when no index n >= 1 with e(n) = 0 (mod m) exists in the scanned range."""
-
-
 class DegenerateSequenceError(LucasLabError):
     """Raised when a check's hypothesis is vacuous because a term is exactly zero.
 

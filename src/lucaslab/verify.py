@@ -25,7 +25,6 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .core import (
-    DEFAULT_DIGIT_BUDGET,
     RecurrenceParams,
     companion,
     seeded_term,
@@ -50,7 +49,6 @@ from .identities import (
     period_step_violation,
 )
 from .modular import (
-    DEFAULT_STATE_BUDGET,
     cycle_entry_check,
     cycle_structure,
     period,
@@ -69,15 +67,16 @@ CONGRUENCE_PRIMES = (3, 5, 7, 11, 13)
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grid bounds, suite selection, and budgets for a verification run."""
+    """Grid bounds and suite selection for a verification run.
+
+    The suites' moduli and indices are fixed, well inside the default budgets.
+    """
 
     a_min: int = -5
     a_max: int = 5
     b_min: int = -5
     b_max: int = 5
     suites: tuple[str, ...] | None = None  # None selects every suite
-    state_budget: int = DEFAULT_STATE_BUDGET
-    term_digit_budget: int = DEFAULT_DIGIT_BUDGET
 
     def grid(self) -> list[RecurrenceParams]:
         return [RecurrenceParams(a, b)
@@ -94,8 +93,6 @@ _CONFIG_KEYS = {
     "A_max": ("a_max", int),
     "B_min": ("b_min", int),
     "B_max": ("b_max", int),
-    "state_budget": ("state_budget", int),
-    "term_digit_budget": ("term_digit_budget", int),
 }
 
 
@@ -273,7 +270,7 @@ def _suite_term_mod_agreement(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_purity_gcd_law(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
         return next((m for m in range(2, 101)
-                     if cycle_structure(params, m, state_budget=config.state_budget).pure
+                     if cycle_structure(params, m).pure
                      != (math.gcd(params.B, m) == 1)), None)
     return _sweep("purity_gcd_law", config.grid(), probe,
                   "pure <=> gcd(B, m) = 1 for m <= 100", "purity mismatch at m = {}")
@@ -282,9 +279,9 @@ def _suite_purity_gcd_law(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
         for m in _moduli(params, 50, True):
-            k = period(params, m, state_budget=config.state_budget)
-            cs = cycle_structure(params, m, state_budget=config.state_budget)
-            rr = rank(params, m, state_budget=config.state_budget)
+            k = period(params, m)
+            cs = cycle_structure(params, m)
+            rr = rank(params, m)
             if k != cs.cycle_len or rr.alpha is None or k % rr.alpha != 0:
                 return m, k, cs.cycle_len, rr.alpha
         return None
@@ -295,8 +292,8 @@ def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_zero_index_progression(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
         for m in _moduli(params, 50, True):
-            k = period(params, m, state_budget=config.state_budget)
-            chk = zero_indices_check(params, m, 4 * k, state_budget=config.state_budget)
+            k = period(params, m)
+            chk = zero_indices_check(params, m, 4 * k)
             if not chk.holds:
                 return m, chk.first_violation
         return None
@@ -307,7 +304,7 @@ def _suite_zero_index_progression(config: VerifyConfig) -> Iterator[CheckRecord]
 
 def _suite_period_ladder(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params, p):
-        rep = period_law_report(params, p, 3, state_budget=config.state_budget)
+        rep = period_law_report(params, p, 3)
         if not all(k2 % k1 == 0 and k2 // k1 in (1, p)
                    for (_, k1), (_, k2) in zip(rep.ladder, rep.ladder[1:])):
             return f"ladder not monotone: {rep.ladder}"
@@ -322,8 +319,8 @@ def _suite_period_ladder(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 def _suite_squares_period(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params, p):
-        sq = squares_period_law_report(params, p, 2, state_budget=config.state_budget)
-        pair = period_law_report(params, p, 2, state_budget=config.state_budget)
+        sq = squares_period_law_report(params, p, 2)
+        pair = period_law_report(params, p, 2)
         if not all(kp % kq == 0 for (_, kq), (_, kp) in zip(sq.ladder, pair.ladder)):
             return f"squares period does not divide pair period: {sq.ladder} vs {pair.ladder}"
         if sq.law_holds:
@@ -337,7 +334,7 @@ def _suite_cycle_entry(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
         moduli = _moduli(params, 40, False)
         for m in moduli:
-            chk = cycle_entry_check(params, m, state_budget=config.state_budget)
+            chk = cycle_entry_check(params, m)
             if not chk.consistent:
                 return m, chk.predicted, chk.observed, chk.pair_on_cycle
         return Verdict("pass", f"{len(moduli)} degenerate moduli m <= 40 all consistent")
@@ -374,8 +371,7 @@ def _suite_square_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
         skipped = []
         for n in range(1, 9):
             try:
-                chk = square_divisibility_check(params, n, 30,
-                                                digit_budget=config.term_digit_budget)
+                chk = square_divisibility_check(params, n, 30)
             except DegenerateSequenceError:
                 skipped.append(n)
                 continue
@@ -415,9 +411,7 @@ def _suite_trailing_zeros(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
         try:
             for base in (2, 10):
-                rep = trailing_zeros_report(params, base, 200,
-                                            digit_budget=config.term_digit_budget)
-                assert rep.max_ratio >= 0.0
+                assert trailing_zeros_report(params, base, 200).max_ratio >= 0.0
         except RuntimeError as exc:
             return exc
         return None
@@ -431,7 +425,7 @@ def _suite_trailing_zeros(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_determinant_congruence(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params, p):
         for e in (1, 2):
-            alpha = rank(params, p ** e, state_budget=config.state_budget).alpha
+            alpha = rank(params, p ** e).alpha
             if alpha is None:
                 return e, "no rank"
             for j in (1, 2, 3):

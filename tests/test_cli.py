@@ -279,6 +279,29 @@ def test_budget_exit_3(capsys):
     assert code == 3
 
 
+def test_square_div_budget_checked_before_work(capsys):
+    # e(30000000) alone would take tens of seconds to build; the digit
+    # budget refuses the query first.
+    code = main(["square-div", "-A", "1", "-B", "1", "-n", "30000000", "--limit", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "~6269630 digits, over the budget of 1000000" in captured.err
+
+
+def test_atlas_small_modulus_writes_nothing(tmp_path, capsys):
+    code = main(["atlas", "--A-range", "1", "--B-range", "1", "--m-range", "1",
+                 "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "every modulus must be >= 2, got 1" in captured.err
+    target = tmp_path / "atlas.csv"
+    target.write_text("kept\n")
+    code = main(["atlas", "--A-range", "1", "--B-range", "1", "--m-range", "1",
+                 "--out", str(target)])
+    capsys.readouterr()
+    assert code == 2 and target.read_text() == "kept\n"
+
+
 def test_reversed_range_exit_2(capsys):
     code = main(["atlas", "--A-range", "5..1", "--B-range", "1", "--m-range", "2..5"])
     captured = capsys.readouterr()
@@ -304,7 +327,7 @@ def test_budget_must_be_positive(capsys, value):
 
 
 @pytest.mark.parametrize("argv", [
-    "repetition -A 1 -B 1 --p 3", "square-div -A 1 -B 1 -n 5", "power-div -A 1 -B 1 -n 4",
+    "square-div -A 1 -B 1 -n 5", "power-div -A 1 -B 1 -n 4",
     "zeros -A 1 -B 1 -m 5", "bound -A 1 -B 1 -m 10", "wss -A 2 -B 1",
 ])
 def test_limit_must_be_positive(capsys, argv):
@@ -312,6 +335,15 @@ def test_limit_must_be_positive(capsys, argv):
         main([*argv.split(), "--limit", "0"])
     assert exc.value.code == 2
     assert "--limit: expected a positive integer, got '0'" in capsys.readouterr().err
+
+
+def test_repetition_has_no_limit(capsys):
+    # The scan always runs to 2*p*rank; a shorter one could only abort or
+    # report a false verdict.
+    with pytest.raises(SystemExit) as exc:
+        main(["repetition", "-A", "1", "-B", "1", "--p", "5", "--limit", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from lucaslab import (
     DegenerateSequenceError,
     RecurrenceParams,
+    divisibility,
     divisibility_sequence_check,
     power_divisibility_check,
     repetition_law_check,
     square_divisibility_check,
     term,
+    term_pair,
     trailing_zeros,
     trailing_zeros_report,
     valuation,
@@ -150,6 +152,21 @@ def test_square_divisibility_witnesses(fib):
     # Direct witnesses: 25 | e(25), 25 does not divide e(10).
     assert term(fib, 25) % 25 == 0
     assert term(fib, 10) % 25 != 0
+
+
+def test_square_divisibility_long_range(fib):
+    # e(n) = 1 makes every m trivial; each m is one residue mod e(n)^2 = 1.
+    assert square_divisibility_check(fib, 2, 20000).holds
+
+
+def test_square_divisibility_counterexample_is_residue(monkeypatch, fib):
+    # No coprime pair has a counterexample, so flip one residue by hand:
+    # e(5)^2 = 25 must not divide e(10) = 55, but the tampered kernel says it does.
+    def tampered(params, n, m=None):
+        return (0, 0) if (n, m) == (10, 25) else term_pair(params, n, m)
+    monkeypatch.setattr(divisibility, "term_pair", tampered)
+    chk = square_divisibility_check(fib, 5, 3)
+    assert not chk.holds and chk.counterexamples == ((2, 0),)
 
 
 def test_square_divisibility_rejects_zero_term():

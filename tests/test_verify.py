@@ -20,14 +20,10 @@ def test_parse_config_full():
         B_min = 1
         B_max = 3
         suites = addition_identity, cassini_sign_law
-        state_budget = 500000
-        term_digit_budget = 2000
         """
     )
     assert (cfg.a_min, cfg.a_max, cfg.b_min, cfg.b_max) == (-2, 2, 1, 3)
     assert cfg.suites == ("addition_identity", "cassini_sign_law")
-    assert cfg.state_budget == 500000
-    assert cfg.term_digit_budget == 2000
 
 
 def test_parse_config_defaults_and_all():
@@ -38,6 +34,20 @@ def test_parse_config_defaults_and_all():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ValueError):
         parse_config("frobnicate = 3\n")
+
+
+@pytest.mark.parametrize("key", ["state_budget", "term_digit_budget"])
+def test_parse_config_rejects_removed_key(tmp_path, capsys, key):
+    # The suites run fixed moduli and indices well inside the default
+    # budgets; a smaller budget could only abort the whole run.
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1000\n")
+    config = tmp_path / "verify.cfg"
+    config.write_text(f"suites = cassini_sign_law\n{key} = 1000\n")
+    code = main(["verify", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"unknown key '{key}'" in captured.err
 
 
 def test_parse_config_rejects_unknown_suite():
