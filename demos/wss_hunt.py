@@ -2,11 +2,12 @@
 
 For Fibonacci, whether such a prime exists is a famous open question (none
 below 10^4 here, and none are known at all). Other families do have them:
-the Pell family has two below 50. The scan computes k(p) directly and then
-asks one fast-doubling term pair whether (e(k), e(k+1)) is already (0, 1)
-mod p^2 at k = k(p), i.e. whether the companion matrix already has that
-order mod p^2; that single test replaces a scan of up to p * k(p) further
-steps.
+the Pell family has two below 50. The scan decides each prime by the order
+of the companion matrix M, with no orbit walk. k(p^2) is k(p) or p * k(p),
+and k(p) divides N = p^2 - 1 (or p(p - 1) when p divides D = A^2 + 4B),
+which p divides exactly as often as it divides k(p). So one fast-doubling
+term pair, (e(N), e(N+1)) = (0, 1) mod p^2, says whether M^N = I there, and
+that is the whole test. Only the findings descend to k(p) itself.
 """
 import time
 

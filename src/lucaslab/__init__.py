@@ -46,14 +46,12 @@ from .identities import (
 from .modular import (
     CycleEntryCheck,
     CycleStructure,
-    Mat2,
     PeriodLawReport,
     RankReport,
     ZeroProgressionCheck,
     cycle_entry_check,
     cycle_entry_prediction,
     cycle_structure,
-    mat_pow,
     period,
     period_law_report,
     rank,
@@ -76,7 +74,6 @@ __all__ = [
     "DivisibilityCheck",
     "HypothesisNotMetError",
     "LucasLabError",
-    "Mat2",
     "NoPurePeriodError",
     "PeriodLawReport",
     "RankReport",
@@ -98,7 +95,6 @@ __all__ = [
     "determinant_congruence_check",
     "divisibility_sequence_check",
     "gcd_companion_check",
-    "mat_pow",
     "multiplication_formula_check",
     "parse_config",
     "period",

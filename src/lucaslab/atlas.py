@@ -9,15 +9,21 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, TextIO
 
-from sympy import primerange
-
 from .core import RecurrenceParams, term_pair
 from .errors import BudgetExceededError
-from .modular import DEFAULT_STATE_BUDGET, _first_zero, _pair_orbit, period
+from .modular import (
+    DEFAULT_STATE_BUDGET,
+    _first_zero,
+    _least_divisor,
+    _pair_orbit,
+    _period_multiple,
+)
 
 
 @dataclass(frozen=True)
@@ -31,24 +37,36 @@ class WssFinding:
     k_p2: int
 
 
-def wss_scan(params: RecurrenceParams, p_max: int,
-             state_budget: int = DEFAULT_STATE_BUDGET) -> list[WssFinding]:
-    """Scan primes p <= p_max (skipping p | B) for k(p^2) = k(p).
+def _primes_upto(n: int) -> Iterator[int]:
+    """The primes p <= n in ascending order, from a sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    return itertools.compress(range(n + 1), sieve)
 
-    k(p) always divides k(p^2), so equality holds exactly when (e(k), e(k+1))
-    = (0, 1) mod p^2 for k = k(p), i.e. M^k = I for the companion matrix M,
-    as B*e(k-1) = e(k+1) - A*e(k). That one term pair replaces a scan of up
-    to p*k(p) further steps. Findings are emitted in ascending order of p,
-    and only the equal cases are reported.
+
+def wss_scan(params: RecurrenceParams, p_max: int) -> list[WssFinding]:
+    """Scan primes p <= p_max (skipping p | B) for k(p^2) = k(p), in ascending order.
+
+    The test is by group order, with no orbit walk. M^n = I (mod m) for the
+    companion matrix M exactly when term_pair(params, n, m) = (0, 1), and
+    k(p^2) is k(p) or p*k(p). N = _period_multiple(params, p) is a multiple
+    of k(p) that p divides exactly as often as it divides k(p): never when
+    p does not divide D, once when it does. So p*k(p) never divides N, and p
+    is a finding exactly when M^N = I (mod p^2): one residue call of
+    O(log p) doublings. Only findings pay for the descent to k(p).
     """
     if p_max < 2:
         raise ValueError(f"p_max must be >= 2, got {p_max}")
     findings = []
-    for p in primerange(2, p_max + 1):
+    for p in _primes_upto(p_max):
         if params.B % p == 0:
             continue
-        k = period(params, p, state_budget=state_budget)
-        if term_pair(params, k, p * p) == (0, 1):
+        n = _period_multiple(params, p)
+        if term_pair(params, n, p * p) == (0, 1):
+            k = _least_divisor(n, lambda d: term_pair(params, d, p) == (0, 1))
             findings.append(WssFinding(A=params.A, B=params.B, p=p, k_p=k, k_p2=k))
     return findings
 

@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "wss":
         params = RecurrenceParams(args.A, args.B)
-        findings = wss_scan(params, args.limit, state_budget=args.budget)
+        findings = wss_scan(params, args.limit)
         with _open_out(args.out) as sink:
             write_wss(findings, sink, args.format)
         return 0
@@ -358,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd("identities", "run the exact identity checks for one (A, B)", parents=[ab])
 
-    p = cmd("wss", "scan primes for k(p^2) = k(p)", parents=[ab, states])
+    p = cmd("wss", "scan primes for k(p^2) = k(p)", parents=[ab])
     p.add_argument("--limit", type=_positive_int, default=1000,
                    help="scan primes <= limit (default %(default)s)")
 

@@ -23,7 +23,7 @@ from .core import (
     valuation,  # noqa: F401  (re-exported: lucaslab.divisibility.valuation)
 )
 from .errors import DegenerateSequenceError
-from .modular import rank, term_mod
+from .modular import _least_divisor, _period_multiple, term_mod
 
 
 def _require_coprime(params: RecurrenceParams) -> None:
@@ -42,13 +42,21 @@ class RepetitionLawReport:
     holds: bool
 
 
+def _residue_valuation(params: RecurrenceParams, n: int, p: int, v: int) -> int:
+    """nu_p(e(n)) for a nonzero e(n) that p^v divides, by residues mod p^(v+1), p^(v+2), ..."""
+    while term_mod(params, n, p ** (v + 1)) == 0:
+        v += 1
+    return v
+
+
 def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawReport:
     """Locate the rank alpha of p, then find where the valuation first increases.
 
-    The scan tests the multiples of alpha up to 2*p*alpha, past the predicted
-    next rank p*alpha, each as one residue mod p^(v+1). Raises
-    DegenerateSequenceError if e(alpha) is exactly zero (infinite valuation;
-    the law is vacuous there).
+    alpha is the least divisor d of a multiple of k(p) with e(d) = 0 (mod p),
+    found by descent with no orbit walk. The scan tests the multiples of
+    alpha up to 2*p*alpha, past the predicted next rank p*alpha, each as one
+    residue mod p^(v+1). Raises DegenerateSequenceError if e(alpha) is
+    exactly zero (infinite valuation; the law is vacuous there).
     """
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -56,25 +64,25 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
     if params.B % p == 0:
         raise ValueError(f"p = {p} divides B = {params.B}; the law assumes p does not divide B")
 
-    report = rank(params, p)
-    alpha, base_val = report.alpha, report.valuation_at_alpha
-    assert alpha is not None  # p does not divide B, so the orbit returns to (0, 1)
+    # Zeros mod p sit exactly at the multiples of alpha, and alpha | k(p).
+    alpha = _least_divisor(_period_multiple(params, p), lambda d: term_mod(params, d, p) == 0)
+    # An exact zero e(n) = 0 with n >= 1 needs a root ratio of order n in a
+    # quadratic field, so n is 2, 3, 4 or 6; past 6 the residues decide.
+    base_val = (_nu(term(params, alpha), p) if alpha <= 6
+                else _residue_valuation(params, alpha, p, 1))
     if base_val == math.inf:
         raise DegenerateSequenceError(
             f"e({alpha}) = 0 exactly for {params}; prime-power repetition is vacuous"
         )
     assert isinstance(base_val, int)
 
-    # Zeros mod p sit exactly at multiples of alpha, so only those can carry
-    # the higher power p^(base_val + 1).
+    # Only multiples of alpha can carry the higher power p^(base_val + 1).
     higher = p ** (base_val + 1)
     observed = next((j for j in range(2 * alpha, 2 * p * alpha + 1, alpha)
                      if term_mod(params, j, higher) == 0), None)
     # e(alpha) | e(p*alpha). The scan ends: a coprime family with a finite
     # valuation at alpha is nondegenerate, so e(p*alpha) != 0.
-    val_at_pn = base_val
-    while term_mod(params, p * alpha, p ** (val_at_pn + 1)) == 0:
-        val_at_pn += 1
+    val_at_pn = _residue_valuation(params, p * alpha, p, base_val)
     holds = observed == p * alpha and val_at_pn == base_val + 1
     return RepetitionLawReport(
         p=p,

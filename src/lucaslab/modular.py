@@ -1,7 +1,6 @@
 """Modular sequence machinery: terms mod m, cycles, periods, ranks.
 
-e(n) mod m comes from core.term_pair's fast doubling reduced mod m; the 2x2
-matrix type (Mat2, mat_pow) is kept for callers that want the matrix itself.
+e(n) mod m comes from core.term_pair's fast doubling reduced mod m.
 
 The pair state (e(n) mod m, e(n+1) mod m) advances by (x, y) -> (y, Ay + Bx).
 When gcd(B, m) = 1 the state map is invertible (the companion matrix has
@@ -22,68 +21,6 @@ from .errors import BudgetExceededError, NoPurePeriodError
 
 DEFAULT_STATE_BUDGET = 10**8
 
-Mat2Tuple = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 matrix over Z/m, row-major entries (a, b, c, d), m >= 2."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.m}")
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) % self.m)
-
-    @classmethod
-    def identity(cls, m: int) -> Mat2:
-        return cls(1, 0, 0, 1, m)
-
-    @classmethod
-    def companion(cls, params: RecurrenceParams, m: int) -> Mat2:
-        """The matrix [[A, B], [1, 0]] mod m; its n-th power carries e(n)."""
-        return cls(params.A, params.B, 1, 0, m)
-
-    def __matmul__(self, other: Mat2) -> Mat2:
-        if self.m != other.m:
-            raise ValueError(f"modulus mismatch: {self.m} != {other.m}")
-        prod = _mat_mul(self.entries, other.entries, self.m)
-        return Mat2(*prod, self.m)
-
-    @property
-    def entries(self) -> Mat2Tuple:
-        return (self.a, self.b, self.c, self.d)
-
-
-def _mat_mul(x: Mat2Tuple, y: Mat2Tuple, m: int) -> Mat2Tuple:
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % m, (a * f + b * h) % m,
-            (c * e + d * g) % m, (c * f + d * h) % m)
-
-
-def _mat_pow(base: Mat2Tuple, exponent: int, m: int) -> Mat2Tuple:
-    result = (1 % m, 0, 0, 1 % m)
-    while exponent:
-        if exponent & 1:
-            result = _mat_mul(result, base, m)
-        base = _mat_mul(base, base, m)
-        exponent >>= 1
-    return result
-
-
-def mat_pow(matrix: Mat2, exponent: int) -> Mat2:
-    """Return matrix**exponent by binary exponentiation; exponent 0 gives I."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exponent}")
-    return Mat2(*_mat_pow(matrix.entries, exponent, matrix.m), matrix.m)
-
 
 def term_mod(params: RecurrenceParams, n: int, m: int) -> int:
     """Return e(n) mod m by fast doubling, O(log n) multiplications of residues."""
@@ -92,6 +29,25 @@ def term_mod(params: RecurrenceParams, n: int, m: int) -> int:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     return term_pair(params, n, m)[0]
+
+
+def _period_multiple(params: RecurrenceParams, p: int) -> int:
+    """A multiple of k(p) for a prime p not dividing B, read off the companion matrix M.
+
+    If p does not divide D = A^2 + 4B, M has distinct eigenvalues in F_p* or
+    F_(p^2)*, so k(p) divides p^2 - 1. If p | D, M = lambda*I + N with N
+    nilpotent and nonzero, so k(p) = p * ord(lambda) divides p(p - 1).
+    """
+    return p * (p - 1) if params.D % p == 0 else p * p - 1
+
+
+def _least_divisor(n: int, holds: Callable[[int], bool]) -> int:
+    """Least d | n with holds(d), given holds(n) and that the passing d are
+    the multiples of one number: strip each prime q of n while n/q passes."""
+    for q in factorint(n):
+        while n % q == 0 and holds(n // q):
+            n //= q
+    return n
 
 
 @dataclass(frozen=True)

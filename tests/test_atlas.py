@@ -4,8 +4,9 @@ from __future__ import annotations
 import io
 
 import pytest
+from sympy import factorint
 
-from lucaslab import RecurrenceParams, atlas_rows, term, wss_scan
+from lucaslab import RecurrenceParams, atlas, atlas_rows, modular, term, term_pair, wss_scan
 from lucaslab.atlas import parse_atlas, parse_wss, write_atlas, write_wss
 
 from .conftest import naive_period
@@ -69,11 +70,31 @@ def test_wss_scan_matches_naive_walk():
             assert [(f.p, f.k_p, f.k_p2) for f in found] == expected, (A, B)
 
 
+def test_wss_scan_walks_no_orbit(monkeypatch, pell):
+    def refuse(*args, **kwargs):
+        raise AssertionError("wss_scan walked an orbit")
+
+    monkeypatch.setattr(modular, "_pair_orbit", refuse)
+    monkeypatch.setattr(atlas, "_pair_orbit", refuse)
+    assert [f.p for f in wss_scan(pell, 2000)] == [13, 31]
+
+
+def test_pell_wieferich_1546463(pell):
+    # OEIS A238736, checked without the scan: k(p) = p - 1 by descent, and
+    # M^(p-1) = I holds mod p^2 as well.
+    p, k = 1546463, 1546462
+    assert term_pair(pell, k, p) == (0, 1)
+    assert all(term_pair(pell, k // q, p) != (0, 1) for q in factorint(k))
+    assert term_pair(pell, k, p * p) == (0, 1)
+
+
 def test_wss_degenerate_family_every_prime():
     # (1, -1) repeats with period 6 exactly, so k(p^2) = k(p) = 6 for odd p > 3.
     findings = wss_scan(RecurrenceParams(1, -1), 20)
     assert all(f.k_p == f.k_p2 for f in findings)
     assert {f.p for f in findings} >= {5, 7, 11, 13, 17, 19}
+    # p = 3 divides D = -3: k(3) = 3 * ord(2 mod 3) = 6 as well.
+    assert [(f.p, f.k_p, f.k_p2) for f in wss_scan(RecurrenceParams(1, -1), 3)] == [(3, 6, 6)]
 
 
 # --- atlas ----------------------------------------------------------------------

@@ -181,6 +181,19 @@ def test_wss(capsys):
     ]
 
 
+def test_wss_past_ten_thousand(capsys):
+    code, out = run_cli(capsys, "wss", "-A", "2", "-B", "1", "--limit", "20000")
+    assert code == 0
+    assert [json.loads(line)["p"] for line in out.splitlines()] == [13, 31]
+
+
+def test_repetition_past_ten_thousand(capsys):
+    code, out = run_cli(capsys, "repetition", "-A", "1", "-B", "1", "--p", "10007")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["base_rank"], rec["observed_next_rank"], rec["holds"]) == (10008, 100150056, True)
+
+
 def test_atlas_csv(capsys):
     code, out = run_cli(capsys, "atlas", "--A-range", "1..1", "--B-range", "1..1",
                         "--m-range", "2..5", "--format", "csv")
@@ -348,7 +361,7 @@ def test_repetition_has_no_limit(capsys):
 
 @pytest.mark.parametrize("argv", [
     "term-mod -A 1 -B 1 -n 5 -m 7", "repetition -A 1 -B 1 --p 3", "power-div -A 1 -B 1 -n 4",
-    "div-seq -A 1 -B 1", "identities -A 1 -B 1", "verify",
+    "div-seq -A 1 -B 1", "identities -A 1 -B 1", "verify", "wss -A 2 -B 1",
 ])
 def test_budget_only_on_commands_that_read_it(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,21 +1,19 @@
-"""Modular layer: matrix powers, cycles, periods, ranks, ladders, cycle entry."""
+"""Modular layer: companion powers, descents, cycles, periods, ranks, ladders, cycle entry."""
 from __future__ import annotations
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lucaslab import (
     BudgetExceededError,
-    Mat2,
     NoPurePeriodError,
     RecurrenceParams,
     cycle_entry_check,
     cycle_entry_prediction,
     cycle_structure,
-    mat_pow,
     period,
     period_law_report,
     rank,
@@ -25,47 +23,36 @@ from lucaslab import (
     term_pair,
     zero_indices_check,
 )
-from lucaslab.modular import _squares_period
+from lucaslab.modular import _least_divisor, _period_multiple, _squares_period
 
 from .conftest import grid_params, naive_pair_orbit, naive_period, naive_terms
 
 
-# --- matrices ---------------------------------------------------------------
+# --- companion matrix powers through term_pair ---------------------------------
+# M^n = [[e(n+1), B*e(n)], [e(n), B*e(n-1)]] for M = [[A, B], [1, 0]], and
+# B*e(n-1) = e(n+1) - A*e(n), so M^k = I (mod m) exactly when
+# term_pair(params, k, m) == (0, 1).
 
-def test_mat_pow_identity_large_exponent():
-    ident = Mat2.identity(97)
-    assert mat_pow(ident, 10**9) == ident
+def test_mat_pow_identity_large_exponent(fib):
+    k = naive_period(1, 1, 97)
+    assert term_pair(fib, k * 10**9, 97) == (0, 1)
+    assert term_pair(fib, k * 10**9 + 1, 97) != (0, 1)
 
 
 def test_mat_pow_zero_exponent(fib):
-    m = Mat2.companion(fib, 10)
-    assert mat_pow(m, 0) == Mat2.identity(10)
+    assert term_pair(fib, 0, 10) == (0, 1)
 
 
-def test_mat_pow_carries_sequence_terms(fib, pell):
-    # M^n = [[e(n+1), B*e(n)], [e(n), B*e(n-1)]]
-    assert mat_pow(Mat2.companion(fib, 10), 10).a == 89 % 10
-    assert mat_pow(Mat2.companion(pell, 3), 7).b == 169 % 3
-
-
-def test_mat_pow_rejects_negative_exponent(fib):
-    with pytest.raises(ValueError):
-        mat_pow(Mat2.companion(fib, 5), -1)
-
-
-def test_mat2_normalizes_and_validates():
-    m = Mat2(7, -1, 12, 3, 5)
-    assert m.entries == (2, 4, 2, 3)
-    with pytest.raises(ValueError):
-        Mat2(1, 0, 0, 1, 1)
-    with pytest.raises(ValueError):
-        Mat2.identity(5) @ Mat2.identity(7)
-
-
-def test_mat_mul_matches_by_hand():
-    x = Mat2(1, 2, 3, 4, 10)
-    y = Mat2(5, 6, 7, 8, 10)
-    assert (x @ y).entries == ((5 + 14) % 10, (6 + 16) % 10, (15 + 28) % 10, (18 + 32) % 10)
+def test_mat_pow_carries_sequence_terms():
+    for params in grid_params(3):
+        A, B = params.A, params.B
+        for m in (2, 10, 97):
+            power = (1, 0, 0, 1)  # M^n mod m by naive matrix products
+            for n in range(1, 25):
+                a, b, c, d = power
+                power = ((a * A + b) % m, a * B % m, (c * A + d) % m, c * B % m)
+                e_n, e_next = term_pair(params, n, m)
+                assert power == (e_next, B * e_n % m, e_n, (e_next - A * e_n) % m)
 
 
 # --- term_mod ----------------------------------------------------------------
@@ -101,6 +88,30 @@ def test_doubling_mod_m_matches_naive_terms(a, b, m, n):
     e = naive_terms(a, b, n + 1)
     assert term_pair(params, n, m) == (e[n] % m, e[n + 1] % m)
     assert term_mod(params, n, m) == e[n] % m
+
+
+# --- period and rank at a prime by descent ------------------------------------
+
+PRIMES_BELOW_400 = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+# The examples have p | D = A^2 + 4B, where k(p) = p * ord(lambda) divides p(p - 1).
+@given(a=st.integers(-20, 20), b=st.integers(-20, 20).filter(lambda x: x != 0),
+       p=st.sampled_from(PRIMES_BELOW_400))
+@example(a=2, b=-1, p=7)
+@example(a=1, b=-1, p=3)
+@example(a=1, b=1, p=5)
+@example(a=6, b=-5, p=2)
+@settings(max_examples=150, deadline=None)
+def test_descent_matches_walk(a, b, p):
+    assume(b % p)
+    params = RecurrenceParams(a, b)
+    n = _period_multiple(params, p)
+    k = _least_divisor(n, lambda d: term_pair(params, d, p) == (0, 1))
+    tail, cycle, states = naive_pair_orbit(a, b, p)  # naive_period, keeping the states
+    assert (tail, cycle) == (0, k)
+    first_zero = next(j for j in range(1, k + 1) if states[j % k][0] == 0)
+    assert _least_divisor(n, lambda d: term_mod(params, d, p) == 0) == first_zero
 
 
 # --- cycle structure and period ----------------------------------------------
