@@ -19,7 +19,6 @@ from .core import RecurrenceParams, term_pair
 from .errors import BudgetExceededError
 from .modular import (
     DEFAULT_STATE_BUDGET,
-    _first_zero,
     _least_divisor,
     _pair_orbit,
     _period_multiple,
@@ -104,11 +103,11 @@ def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
 
 def _atlas_row(A: int, B: int, m: int, state_budget: int) -> AtlasRow:
     try:
-        tail, cyc, xs = _pair_orbit(RecurrenceParams(A, B), m, state_budget)
+        tail, cyc, alpha = _pair_orbit(RecurrenceParams(A, B), m, state_budget)
     except BudgetExceededError as exc:
         return AtlasRow(A=A, B=B, m=m, error=str(exc))
     return AtlasRow(A=A, B=B, m=m, pure=tail == 0, tail_len=tail,
-                    cycle_len=cyc, alpha=_first_zero(tail, cyc, xs))
+                    cycle_len=cyc, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -104,13 +104,7 @@ def _cmd_squares_law(args):
 
 
 def _cmd_repetition(args):
-    rep = repetition_law_check(_params(args), args.p)
-    rec = {"A": args.A, "B": args.B, "p": args.p,
-           "base_rank": rep.base_rank, "base_valuation": rep.base_valuation,
-           "predicted_next_rank": rep.predicted_next_rank,
-           "observed_next_rank": rep.observed_next_rank,
-           "observed_valuation_at_pn": rep.observed_valuation_at_pn,
-           "holds": rep.holds}
+    rec = {"A": args.A, "B": args.B, **asdict(repetition_law_check(_params(args), args.p))}
     return [rec], tuple(rec.keys()), 0
 
 

@@ -23,7 +23,7 @@ from .core import (
     valuation,  # noqa: F401  (re-exported: lucaslab.divisibility.valuation)
 )
 from .errors import DegenerateSequenceError
-from .modular import _least_divisor, _period_multiple, term_mod
+from .modular import _least_divisor, _period_multiple, _rank_valuation, _residue_valuation, term_mod
 
 
 def _require_coprime(params: RecurrenceParams) -> None:
@@ -40,13 +40,6 @@ class RepetitionLawReport:
     observed_next_rank: int | None
     observed_valuation_at_pn: int
     holds: bool
-
-
-def _residue_valuation(params: RecurrenceParams, n: int, p: int, v: int) -> int:
-    """nu_p(e(n)) for a nonzero e(n) that p^v divides, by residues mod p^(v+1), p^(v+2), ..."""
-    while term_mod(params, n, p ** (v + 1)) == 0:
-        v += 1
-    return v
 
 
 def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawReport:
@@ -66,10 +59,7 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
 
     # Zeros mod p sit exactly at the multiples of alpha, and alpha | k(p).
     alpha = _least_divisor(_period_multiple(params, p), lambda d: term_mod(params, d, p) == 0)
-    # An exact zero e(n) = 0 with n >= 1 needs a root ratio of order n in a
-    # quadratic field, so n is 2, 3, 4 or 6; past 6 the residues decide.
-    base_val = (_nu(term(params, alpha), p) if alpha <= 6
-                else _residue_valuation(params, alpha, p, 1))
+    base_val = _rank_valuation(params, alpha, p)
     if base_val == math.inf:
         raise DegenerateSequenceError(
             f"e({alpha}) = 0 exactly for {params}; prime-power repetition is vacuous"
@@ -142,6 +132,7 @@ def power_divisibility_check(params: RecurrenceParams, n: int, k_max: int) -> Di
     _require_coprime(params)
     if n < 1 or k_max < 1:
         raise ValueError("n and k_max must be positive")
+    check_term_budget(params, n)
     e_n = abs(term(params, n))
     if e_n <= 1:
         return DivisibilityCheck(holds=True, degenerate=(n,))

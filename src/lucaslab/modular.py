@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-from sympy import factorint, isprime
+from sympy import factorint, isprime, perfect_power
 
 from .core import RecurrenceParams, _nu, term, term_pair
 from .errors import BudgetExceededError, NoPurePeriodError
@@ -66,68 +66,67 @@ class CycleStructure:
         return self.tail_len == 0
 
 
-def _check_state_budget(m: int, state_budget: int) -> None:
-    if m * m > state_budget:
-        raise BudgetExceededError(
-            f"modulus {m} needs up to {m * m} pair states, over the budget of {state_budget}"
-        )
-
-
 def _pair_orbit(params: RecurrenceParams, m: int,
-                state_budget: int) -> tuple[int, int, array | list[int]]:
+                state_budget: int) -> tuple[int, int, int | None]:
     """Walk the pair orbit of (0, 1) mod m up to its first repeated state.
 
-    Returns (tail_len, cycle_len, xs) with xs[n] = e(n) mod m for
-    n < tail_len + cycle_len; beyond that, e(n) = e(tail_len + (n - tail_len)
-    % cycle_len). This is the only place the step is written out; every
-    period, rank, zero and cycle law is read off its result.
-
-    When gcd(B, m) = 1 the orbit is purely periodic, so the walk just waits
-    for (0, 1) to come back. Otherwise a stored-state lookup finds the minimal
-    tail and cycle in one pass (Floyd/Brent would need a second pass).
+    Returns (tail_len, cycle_len, alpha): the orbit's distinct states number
+    tail_len + cycle_len, and alpha is the least n >= 1 with e(n) = 0 (mod m),
+    or None. An orbit of exactly state_budget states is admitted; one state
+    more raises BudgetExceededError. The walk keeps O(log m) states: a pure
+    orbit (gcd(B, m) = 1) waits for (0, 1) to come back, and a tail is shorter
+    than 2*m.bit_length() (mod p^e the states form a module of length 2e, and
+    the part the step acts on nilpotently dies within 2e steps), so the first
+    repeated state is one of that many kept states.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    _check_state_budget(m, state_budget)
     A, B = params.A % m, params.B % m
-    # Residues are kept as machine words when they fit: a pure orbit can have
-    # nearly m^2 states.
-    xs = array("q") if m <= 1 << 63 else []
-    append = xs.append
-    x, y = 0, 1
+    x, y, alpha = 0, 1, None
     if math.gcd(B, m) == 1:
-        while True:
-            append(x)
+        for n in range(1, state_budget + 1):
             x, y = y, (A * y + B * x) % m
-            if x == 0 and y == 1:
-                return 0, len(xs), xs
-    seen: dict[int, int] = {}
-    while (key := x * m + y) not in seen:
-        seen[key] = len(xs)
-        append(x)
+            if x == 0:
+                if y == 1:
+                    return 0, n, alpha or n
+                alpha = alpha or n
+    else:
+        kept, seen, key = 2 * m.bit_length(), {}, y
+        for n in range(1, state_budget + 1):
+            if n <= kept:
+                seen[key] = n - 1
+            x, y = y, (A * y + B * x) % m
+            if x == 0 and alpha is None:
+                alpha = n
+            if (key := x * m + y) in seen:
+                tail = seen[key]
+                if tail == 0:
+                    raise RuntimeError(
+                        f"internal invariant broken: tail=0 but gcd(B, m)={math.gcd(params.B, m)}"
+                    )
+                return tail, n - tail, alpha
+    raise BudgetExceededError(
+        f"modulus {m} walked {state_budget + 1} pair states, over the budget of {state_budget}"
+    )
+
+
+def _residues(params: RecurrenceParams, m: int, count: int) -> array | list[int]:
+    """e(0), ..., e(count - 1) mod m, as machine words when they fit (8 bytes each)."""
+    A, B = params.A % m, params.B % m
+    xs = array("q") if m <= 1 << 63 else []
+    x, y = 0, 1
+    for _ in range(count):
+        xs.append(x)
         x, y = y, (A * y + B * x) % m
-    tail = seen[key]
-    if tail == 0:
-        raise RuntimeError(
-            f"internal invariant broken: tail=0 but gcd(B, m)={math.gcd(params.B, m)}"
-        )
-    return tail, len(xs) - tail, xs
-
-
-def _first_zero(tail: int, cycle: int, xs: array | list[int]) -> int | None:
-    """Least n >= 1 with e(n) = 0 in a _pair_orbit result, or None if there is none."""
-    for n in range(1, tail + cycle):
-        if xs[n] == 0:
-            return n
-    return tail + cycle if xs[tail] == 0 else None
+    return xs
 
 
 def cycle_structure(params: RecurrenceParams, m: int,
                     state_budget: int = DEFAULT_STATE_BUDGET) -> CycleStructure:
     """Minimal (tail_len, cycle_len) of the pair sequence mod m.
 
-    Scans at most m^2 + 1 states; refuses moduli whose worst case exceeds
-    state_budget.
+    Walks tail_len + cycle_len <= m^2 states, and raises BudgetExceededError
+    once the walk passes state_budget.
     """
     tail, cyc, _ = _pair_orbit(params, m, state_budget)
     return CycleStructure(modulus=m, tail_len=tail, cycle_len=cyc)
@@ -166,14 +165,28 @@ class RankReport:
 def rank(params: RecurrenceParams, m: int,
          state_budget: int = DEFAULT_STATE_BUDGET) -> RankReport:
     """Least n >= 1 with e(n) = 0 (mod m), scanning one tail plus one cycle."""
-    alpha = _first_zero(*_pair_orbit(params, m, state_budget))
-    val: int | float | None = None
+    alpha = _pair_orbit(params, m, state_budget)[2]
+    val = None
     if alpha is not None:
-        fac = factorint(m)
-        if len(fac) == 1:
-            (p, _), = fac.items()
-            val = _nu(term(params, alpha), p)
+        p, e = perfect_power(m) or (m, 1)  # m is a prime power exactly when this p is prime
+        val = _rank_valuation(params, alpha, p, e) if isprime(p) else None
     return RankReport(modulus=m, alpha=alpha, valuation_at_alpha=val)
+
+
+def _residue_valuation(params: RecurrenceParams, n: int, p: int, v: int) -> int:
+    """nu_p(e(n)) for a nonzero e(n) that p^v divides, by residues mod p^(v+1), p^(v+2), ..."""
+    while term_mod(params, n, p ** (v + 1)) == 0:
+        v += 1
+    return v
+
+
+def _rank_valuation(params: RecurrenceParams, alpha: int, p: int, v: int = 1) -> int | float:
+    """nu_p(e(alpha)) for an alpha with p^v | e(alpha); math.inf if e(alpha) = 0.
+
+    An exact zero e(n) = 0 with n >= 1 needs a root ratio of order n in a
+    quadratic field, so n is 2, 3, 4 or 6; past 6 the residues decide.
+    """
+    return _nu(term(params, alpha), p) if alpha <= 6 else _residue_valuation(params, alpha, p, v)
 
 
 @dataclass(frozen=True)
@@ -199,9 +212,9 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
         raise NoPurePeriodError(
             f"gcd(B, m) != 1 for {params}, m={m}; zero indices need the pure regime"
         )
-    _, k, xs = _pair_orbit(params, m, state_budget)
-    alpha = _first_zero(0, k, xs)
+    _, k, alpha = _pair_orbit(params, m, state_budget)
     assert alpha is not None  # e(k) = e(0) = 0 in the pure regime
+    xs = _residues(params, m, k)
     zeros = {n for n in range(1, limit + 1) if xs[n % k] == 0}
     expected = set(range(alpha, limit + 1, alpha))
     holds = zeros == expected
@@ -256,8 +269,8 @@ def _squares_period(params: RecurrenceParams, m: int, state_budget: int) -> int:
     The squares sequence inherits the pair period K, so its minimal period is
     the smallest divisor d of K that shifts the squared orbit onto itself.
     """
-    _, k, xs = _pair_orbit(params, m, state_budget)
-    sq = [x * x % m for x in xs]
+    k = _pair_orbit(params, m, state_budget)[1]
+    sq = [x * x % m for x in _residues(params, m, k)]
     return next(d for d in range(1, k + 1) if k % d == 0 and sq[d:] + sq[:d] == sq)
 
 
@@ -310,8 +323,8 @@ def cycle_entry_check(params: RecurrenceParams, m: int,
                       state_budget: int = DEFAULT_STATE_BUDGET) -> CycleEntryCheck:
     """Compare cycle_entry_prediction against the actual cycle content mod m."""
     predicted = cycle_entry_prediction(params, m)  # also validates gcd(B, m) != 1
-    tail, cyc, xs = _pair_orbit(params, m, state_budget)
-    cycle, a = xs[tail:], params.A % m
+    tail, cyc, _ = _pair_orbit(params, m, state_budget)
+    cycle, a = _residues(params, m, tail + cyc)[tail:], params.A % m
     # The residue before the pair (1, A) on the cycle; cycle pairs are distinct.
     observed = next((cycle[j - 1] for j in range(cyc)
                      if cycle[j] == 1 and cycle[(j + 1) % cyc] == a), None)

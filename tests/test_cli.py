@@ -420,7 +420,7 @@ CSV_CASES = [
      "1,-1,12,36,true,1;2;3;4;5;6;7;8;9;10;11;12,,", 0),
     ("power-div -A 5 -B 4 -n 6 --limit 2", "5,4,6,2,true,", 0),
     # An over-budget row is still written, and the command exits 3.
-    ("atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 10000", "1,1,1000,,,,", 3),
+    ("atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 1000", "1,1,1000,,,,", 3),
 ]
 
 
@@ -434,9 +434,9 @@ def test_csv_cells_byte_exact(capsys, argv, line, expected_code):
 
 def test_atlas_json_error_row_keeps_message(capsys):
     code, out = run_cli(capsys, "atlas", "--A-range", "1", "--B-range", "1",
-                        "--m-range", "3,1000", "--budget", "10000")
+                        "--m-range", "3,1000", "--budget", "1000")
     assert code == 3
     assert json.loads(out.splitlines()[-1]) == {
         "A": 1, "B": 1, "m": 1000,
-        "error": "modulus 1000 needs up to 1000000 pair states, over the budget of 10000",
+        "error": "modulus 1000 walked 1001 pair states, over the budget of 1000",
     }

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lucaslab import (
+    BudgetExceededError,
     DegenerateSequenceError,
     RecurrenceParams,
     divisibility,
@@ -206,6 +207,20 @@ def test_power_divisibility_checks_astronomical_index():
     chk = power_divisibility_check(RecurrenceParams(5, 4), 6, 2)
     assert term(RecurrenceParams(5, 4), 6) == 5365
     assert chk.holds and chk.counterexamples == () and chk.degenerate == ()
+
+
+def test_power_divisibility_counterexample_is_index(monkeypatch, fib):
+    # No coprime pair has a counterexample, so tamper with the residues: with
+    # e(3) = 2, e(3 * 2^k) mod 2^(k+1) now reads 2^k mod 2^(k+1), never 0.
+    monkeypatch.setattr(divisibility, "term_mod", lambda params, index, m: (index // 3) % m)
+    chk = power_divisibility_check(fib, 3, 2)
+    assert not chk.holds and chk.counterexamples == ((1, 6), (2, 12))
+
+
+def test_power_divisibility_budget_checked_before_work(fib):
+    # e(30000000) alone would take tens of seconds to build.
+    with pytest.raises(BudgetExceededError, match="over the budget of 1000000"):
+        power_divisibility_check(fib, 30000000, 1)
 
 
 def test_power_divisibility_exact_witness(fib):

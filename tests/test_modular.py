@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,7 +24,8 @@ from lucaslab import (
     term_pair,
     zero_indices_check,
 )
-from lucaslab.modular import _least_divisor, _period_multiple, _squares_period
+from lucaslab.core import _nu
+from lucaslab.modular import RankReport, _least_divisor, _period_multiple, _squares_period
 
 from .conftest import grid_params, naive_pair_orbit, naive_period, naive_terms
 
@@ -141,7 +143,53 @@ def test_purity_iff_gcd():
 
 def test_cycle_structure_budget():
     with pytest.raises(BudgetExceededError):
-        cycle_structure(RecurrenceParams(1, 1), 10**5, state_budget=10**6)
+        cycle_structure(RecurrenceParams(1, 1), 10**5, state_budget=10**5)  # k = 150000
+
+
+@pytest.mark.parametrize("a, b, m, states", [(1, 1, 10, 60), (1, 2, 4, 4)])  # pure; tail 2
+def test_walk_budget_counts_states_walked(a, b, m, states):
+    tail, cyc, _ = naive_pair_orbit(a, b, m)
+    assert tail + cyc == states
+    cs = cycle_structure(RecurrenceParams(a, b), m, state_budget=states)
+    assert (cs.tail_len, cs.cycle_len) == (tail, cyc)
+    with pytest.raises(BudgetExceededError,
+                       match=f"^modulus {m} walked {states} pair states, "
+                             f"over the budget of {states - 1}$"):
+        cycle_structure(RecurrenceParams(a, b), m, state_budget=states - 1)
+
+
+@pytest.mark.parametrize("a, b, m", [
+    (1, 1, 1000000007),   # pure, residues fit a machine word
+    (1, 1, 10**20),       # pure, residues past a machine word
+    (1, 2, 2000000014),   # with a tail
+])
+def test_refused_walk_keeps_no_states(a, b, m):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="walked 50001 pair states"):
+            cycle_structure(RecurrenceParams(a, b), m, state_budget=50000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Keeping each state walked would cost 0.4 MB (8 bytes a state) to 7 MB here.
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("a, b, e", [(-12, -10, 2), (-4, -6, 13)])
+def test_longest_tails_are_found(a, b, e):
+    # Mod 2^e these tails are 2e states long, the most a tail mod 2^e can be.
+    tail, cyc, _ = naive_pair_orbit(a, b, 2**e)
+    assert tail == 2 * e
+    cs = cycle_structure(RecurrenceParams(a, b), 2**e, state_budget=tail + cyc)
+    assert (cs.tail_len, cs.cycle_len) == (tail, cyc)
+
+
+def test_moduli_past_the_square_guess(fib, pell):
+    # Each walk is far below the default budget, though m^2 is not.
+    assert period(fib, 20000) == 30000
+    assert rank(fib, 10007) == RankReport(modulus=10007, alpha=10008, valuation_at_alpha=1)
+    report = period_law_report(pell, 101, 3)
+    assert report.ladder == ((1, 204), (2, 20604), (3, 2081004)) and report.t == 1
 
 
 def test_period_spot_values(fib, pell):
@@ -191,6 +239,46 @@ def test_rank_infinite_valuation_on_degenerate_family():
     rep = rank(RecurrenceParams(1, -1), 7)
     assert rep.alpha == 3                   # e(3) = 0 exactly
     assert rep.valuation_at_alpha == math.inf
+
+
+def test_rank_does_not_factor_the_modulus(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorint({n}) called")
+    monkeypatch.setattr("lucaslab.modular.factorint", refuse)
+    m = 30000000000000000000000000096400000000000000000000000002233  # two ~10^29 primes
+    assert rank(RecurrenceParams(1, -1), m) == RankReport(modulus=m, alpha=3,
+                                                          valuation_at_alpha=None)
+
+
+def test_rank_tests_prime_powers_only_at_a_zero(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"perfect_power({n}) called")
+    monkeypatch.setattr("lucaslab.modular.perfect_power", refuse)
+    assert rank(RecurrenceParams(1, 2), 4) == RankReport(modulus=4, alpha=None,
+                                                         valuation_at_alpha=None)
+
+
+def test_rank_valuation_starts_at_the_exponent(monkeypatch, fib):
+    # 11^2 divides e(alpha(121)) = e(110), so one residue mod 11^3 settles nu_11 = 2.
+    moduli = []
+    real = term_mod
+    monkeypatch.setattr("lucaslab.modular.term_mod",
+                        lambda params, n, m: moduli.append(m) or real(params, n, m))
+    assert rank(fib, 121) == RankReport(modulus=121, alpha=110, valuation_at_alpha=2)
+    assert moduli == [11**3]
+
+
+@given(a=st.integers(-9, 9), b=st.integers(-9, 9).filter(lambda x: x != 0),
+       p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+       e=st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_rank_valuation_matches_exact_term(a, b, p, e):
+    params = RecurrenceParams(a, b)
+    rep = rank(params, p ** e)
+    if rep.alpha is None:
+        assert rep.valuation_at_alpha is None
+    else:
+        assert rep.valuation_at_alpha == _nu(term(params, rep.alpha), p)
 
 
 # --- zero indices ------------------------------------------------------------
