@@ -10,7 +10,6 @@ a tail before entering its cycle.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,8 +41,9 @@ def _period_multiple(params: RecurrenceParams, p: int) -> int:
 
 
 def _least_divisor(n: int, holds: Callable[[int], bool]) -> int:
-    """Least d | n with holds(d), given holds(n) and that the passing d are
-    the multiples of one number: strip each prime q of n while n/q passes."""
+    """Least d | n with holds(d), given holds(n) and that the passing d are the
+    multiples of one number (a rank or period at a prime, a squares period):
+    strip each prime q of n while n/q passes."""
     for q in factorint(n):
         while n % q == 0 and holds(n // q):
             n //= q
@@ -110,24 +110,10 @@ def _pair_orbit(params: RecurrenceParams, m: int,
     )
 
 
-def _residues(params: RecurrenceParams, m: int, count: int) -> array | list[int]:
-    """e(0), ..., e(count - 1) mod m, as machine words when they fit (8 bytes each)."""
-    A, B = params.A % m, params.B % m
-    xs = array("q") if m <= 1 << 63 else []
-    x, y = 0, 1
-    for _ in range(count):
-        xs.append(x)
-        x, y = y, (A * y + B * x) % m
-    return xs
-
-
 def cycle_structure(params: RecurrenceParams, m: int,
                     state_budget: int = DEFAULT_STATE_BUDGET) -> CycleStructure:
-    """Minimal (tail_len, cycle_len) of the pair sequence mod m.
-
-    Walks tail_len + cycle_len <= m^2 states, and raises BudgetExceededError
-    once the walk passes state_budget.
-    """
+    """Minimal (tail_len, cycle_len) of the pair sequence mod m, from one walk
+    of tail_len + cycle_len states that state_budget bounds."""
     tail, cyc, _ = _pair_orbit(params, m, state_budget)
     return CycleStructure(modulus=m, tail_len=tail, cycle_len=cyc)
 
@@ -205,6 +191,8 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
     """Check that zeros of e mod m form the arithmetic progression of multiples of alpha(m).
 
     Requires gcd(B, m) = 1 (a zero and a pure period always exist there).
+    Zeros repeat with the period k and e(k) = 0, so both sets differ on
+    [1, limit] exactly when, and first where, they differ on [1, min(limit, k)].
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -214,13 +202,15 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
         )
     _, k, alpha = _pair_orbit(params, m, state_budget)
     assert alpha is not None  # e(k) = e(0) = 0 in the pure regime
-    xs = _residues(params, m, k)
-    zeros = {n for n in range(1, limit + 1) if xs[n % k] == 0}
-    expected = set(range(alpha, limit + 1, alpha))
-    holds = zeros == expected
-    first_violation = min(zeros ^ expected) if not holds else None
+    n_max, A, B = min(limit, k), params.A % m, params.B % m
+    x, y, zeros = 0, 1, set()
+    for n in range(1, n_max + 1):
+        x, y = y, (A * y + B * x) % m
+        if x == 0:
+            zeros.add(n)
+    off = zeros ^ set(range(alpha, n_max + 1, alpha))
     return ZeroProgressionCheck(modulus=m, limit=limit, alpha=alpha,
-                                holds=holds, first_violation=first_violation)
+                                holds=not off, first_violation=min(off, default=None))
 
 
 @dataclass(frozen=True)
@@ -264,14 +254,19 @@ def period_law_report(params: RecurrenceParams, p: int, e_max: int,
 
 
 def _squares_period(params: RecurrenceParams, m: int, state_budget: int) -> int:
-    """Minimal period of n -> e(n)^2 mod m (pure regime only).
+    """Minimal period of s(n) = e(n)^2 mod m (pure regime only), by descent.
 
-    The squares sequence inherits the pair period K, so its minimal period is
-    the smallest divisor d of K that shifts the squared orbit onto itself.
+    s(n+3) = (A^2+B) s(n+2) + (A^2 B+B^2) s(n+1) - B^3 s(n), so d is a period
+    exactly when (s(d), s(d+1), s(d+2)) = (0, 1, A^2) (two terms give 4, not 12,
+    for (-1, -2) mod 9), and the periods are the multiples of one d | k(m).
     """
-    k = _pair_orbit(params, m, state_budget)[1]
-    sq = [x * x % m for x in _residues(params, m, k)]
-    return next(d for d in range(1, k + 1) if k % d == 0 and sq[d:] + sq[:d] == sq)
+    k, A, B = _pair_orbit(params, m, state_budget)[1], params.A, params.B
+
+    def shifts(d: int) -> bool:
+        a, b = term_pair(params, d, m)
+        return (a * a % m, b * b % m, (A * b + B * a) ** 2 % m) == (0, 1, A * A % m)
+
+    return _least_divisor(k, shifts)
 
 
 def squares_period_law_report(params: RecurrenceParams, p: int, e_max: int,
@@ -306,7 +301,7 @@ def cycle_entry_prediction(params: RecurrenceParams, m: int) -> int | None:
 
 @dataclass(frozen=True)
 class CycleEntryCheck:
-    """Brute-force verdict on a cycle-entry prediction.
+    """Verdict on a cycle-entry prediction, read off the walked orbit.
 
     predicted is None when the formula is inapplicable; in every consistent
     case that coincides with the pair (1, A) being absent from the cycle.
@@ -321,14 +316,13 @@ class CycleEntryCheck:
 
 def cycle_entry_check(params: RecurrenceParams, m: int,
                       state_budget: int = DEFAULT_STATE_BUDGET) -> CycleEntryCheck:
-    """Compare cycle_entry_prediction against the actual cycle content mod m."""
+    """Compare cycle_entry_prediction against the orbit mod m. Its states are
+    distinct and (1, A) is the one at index 1, so (1, A) is on the cycle exactly
+    when tail_len = 1, right after the state (e(cycle_len), 1) at cycle_len."""
     predicted = cycle_entry_prediction(params, m)  # also validates gcd(B, m) != 1
     tail, cyc, _ = _pair_orbit(params, m, state_budget)
-    cycle, a = _residues(params, m, tail + cyc)[tail:], params.A % m
-    # The residue before the pair (1, A) on the cycle; cycle pairs are distinct.
-    observed = next((cycle[j - 1] for j in range(cyc)
-                     if cycle[j] == 1 and cycle[(j + 1) % cyc] == a), None)
-    consistent = (observed is None and predicted is None) or (observed == predicted)
+    observed = term_mod(params, cyc, m) if tail == 1 else None
+    consistent = observed == predicted
     return CycleEntryCheck(modulus=m, predicted=predicted,
                            pair_on_cycle=observed is not None,
                            observed=observed, consistent=consistent)

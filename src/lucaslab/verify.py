@@ -99,6 +99,7 @@ _CONFIG_KEYS = {
 def parse_config(text: str) -> VerifyConfig:
     """Parse the flat key = value config format (\"#\" comments, blank lines ok)."""
     values: dict = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -107,9 +108,14 @@ def parse_config(text: str) -> VerifyConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in seen:
+            raise ValueError(f"config line {lineno}: {key!r} is given twice")
+        seen.add(key)
         if key == "suites":
             if val.lower() != "all":
                 names = tuple(s.strip() for s in val.split(",") if s.strip())
+                if not names:
+                    raise ValueError(f"config line {lineno}: no suite named in {raw!r}")
                 unknown = [n for n in names if n not in SUITES]
                 if unknown:
                     raise ValueError(f"config line {lineno}: unknown suites {unknown}")

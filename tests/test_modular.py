@@ -175,6 +175,22 @@ def test_refused_walk_keeps_no_states(a, b, m):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("law, args", [
+    (_squares_period, (RecurrenceParams(1, 1), 3**9, 10**8)),       # k = 52488
+    (zero_indices_check, (RecurrenceParams(1, 1), 5, 10**6)),       # limit far past k = 20
+    (cycle_entry_check, (RecurrenceParams(1, 2), 20014)),           # tail 1, cycle 10006
+], ids=["squares_period", "zero_indices", "cycle_entry"])
+def test_residue_laws_keep_no_orbit(law, args):
+    tracemalloc.start()
+    try:
+        law(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Storing the orbit's residues, or every zero up to the limit, cost 0.16 to 31 MB.
+    assert peak < 64 * 1024
+
+
 @pytest.mark.parametrize("a, b, e", [(-12, -10, 2), (-4, -6, 13)])
 def test_longest_tails_are_found(a, b, e):
     # Mod 2^e these tails are 2e states long, the most a tail mod 2^e can be.
@@ -317,6 +333,13 @@ def test_period_law_fibonacci(fib):
     assert rep.ladder == ((1, 8),) and rep.law_holds
 
 
+def test_period_law_height_at_a_wss_prime(pell):
+    # 13 is a Wall-Sun-Sun analogue for Pell: the ladder stays flat for two
+    # rungs, so t = 2 and the law predicts k(13^3) = 13 * k(13).
+    rep = period_law_report(pell, 13, 3)
+    assert rep.ladder == ((1, 28), (2, 28), (3, 364)) and rep.t == 2 and rep.law_holds
+
+
 def test_period_law_rejects_bad_inputs(fib):
     with pytest.raises(ValueError):
         period_law_report(fib, 4, 2)        # composite
@@ -337,6 +360,10 @@ def test_squares_period_spot_values(fib, pell):
     assert squares_period_law_report(fib, 2, 1).ladder == ((1, 3),)
     rep = squares_period_law_report(pell, 3, 2)
     assert rep.ladder == ((1, 4), (2, 12)) and rep.law_holds
+    # Mod 9 these squares agree with the shift by 4 on two consecutive terms,
+    # but not on three: the period is 12.
+    for a, b in ((-1, -2), (-2, 4)):
+        assert squares_period_law_report(RecurrenceParams(a, b), 3, 2).ladder == ((1, 4), (2, 12))
 
 
 def test_squares_ladders_fibonacci(fib):

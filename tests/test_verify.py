@@ -36,6 +36,23 @@ def test_parse_config_rejects_unknown_key():
         parse_config("frobnicate = 3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("suites =\n", "config line 1: no suite named"),
+    ("A_min = -2\nsuites = ,, ,\n", "config line 2: no suite named"),
+    ("A_min = -2\nB_max = 3\nA_min = 0\n", "config line 3: 'A_min' is given twice"),
+    ("suites = all\nsuites = cassini_sign_law\n", "config line 2: 'suites' is given twice"),
+])
+def test_parse_config_rejects_silent_config(tmp_path, capsys, text, message):
+    # Either would run zero suites, or drop a value, and still exit 0.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        parse_config(text)
+    config = tmp_path / "verify.cfg"
+    config.write_text(text)
+    code = main(["verify", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and message in captured.err
+
+
 @pytest.mark.parametrize("key", ["state_budget", "term_digit_budget"])
 def test_parse_config_rejects_removed_key(tmp_path, capsys, key):
     # The suites run fixed moduli and indices well inside the default
