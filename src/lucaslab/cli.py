@@ -94,13 +94,11 @@ def _law_records(args, report) -> tuple[list[dict], tuple[str, ...], int]:
 
 
 def _cmd_period_law(args):
-    return _law_records(args, period_law_report(
-        _params(args), args.p, args.e, state_budget=args.budget))
+    return _law_records(args, period_law_report(_params(args), args.p, args.e))
 
 
 def _cmd_squares_law(args):
-    return _law_records(args, squares_period_law_report(
-        _params(args), args.p, args.e, state_budget=args.budget))
+    return _law_records(args, squares_period_law_report(_params(args), args.p, args.e))
 
 
 def _cmd_repetition(args):
@@ -318,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (("period-law", "period ladder k(p^e) and the scaling law"),
                             ("squares-law", "period ladder of the squared sequence")):
-        p = cmd(name, help_text, parents=[ab, states])
+        p = cmd(name, help_text, parents=[ab])
         p.add_argument("--p", type=int, required=True, help="prime p (not dividing B)")
         p.add_argument("--e", type=int, default=3, help="largest exponent (default 3)")
 

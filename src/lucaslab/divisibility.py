@@ -37,19 +37,19 @@ class RepetitionLawReport:
     base_rank: int
     base_valuation: int
     predicted_next_rank: int
-    observed_next_rank: int | None
+    observed_next_rank: int
     observed_valuation_at_pn: int
     holds: bool
 
 
 def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawReport:
-    """Locate the rank alpha of p, then find where the valuation first increases.
+    """Locate the rank alpha of p, then the rank of p^(v+1), v = nu_p(e(alpha)).
 
-    alpha is the least divisor d of a multiple of k(p) with e(d) = 0 (mod p),
-    found by descent with no orbit walk. The scan tests the multiples of
-    alpha up to 2*p*alpha, past the predicted next rank p*alpha, each as one
-    residue mod p^(v+1). Raises DegenerateSequenceError if e(alpha) is
-    exactly zero (infinite valuation; the law is vacuous there).
+    Both are descents, with no orbit walk or scan: alpha from a multiple n of
+    k(p), the next rank from p^v * n, a multiple of k(p^(v+1)); as p does not
+    divide B, the zeros mod p^(v+1) are the multiples of its rank. Raises
+    DegenerateSequenceError if e(alpha) is exactly zero (infinite valuation;
+    the law is vacuous there).
     """
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -58,7 +58,8 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
         raise ValueError(f"p = {p} divides B = {params.B}; the law assumes p does not divide B")
 
     # Zeros mod p sit exactly at the multiples of alpha, and alpha | k(p).
-    alpha = _least_divisor(_period_multiple(params, p), lambda d: term_mod(params, d, p) == 0)
+    n = _period_multiple(params, p)
+    alpha = _least_divisor(n, lambda d: term_mod(params, d, p) == 0)
     base_val = _rank_valuation(params, alpha, p)
     if base_val == math.inf:
         raise DegenerateSequenceError(
@@ -66,12 +67,10 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
         )
     assert isinstance(base_val, int)
 
-    # Only multiples of alpha can carry the higher power p^(base_val + 1).
     higher = p ** (base_val + 1)
-    observed = next((j for j in range(2 * alpha, 2 * p * alpha + 1, alpha)
-                     if term_mod(params, j, higher) == 0), None)
-    # e(alpha) | e(p*alpha). The scan ends: a coprime family with a finite
-    # valuation at alpha is nondegenerate, so e(p*alpha) != 0.
+    observed = _least_divisor(p ** base_val * n, lambda d: term_mod(params, d, higher) == 0)
+    # e(alpha) | e(p*alpha), and a coprime family with a finite valuation at
+    # alpha is nondegenerate, so e(p*alpha) != 0 and the valuation is finite.
     val_at_pn = _residue_valuation(params, p * alpha, p, base_val)
     holds = observed == p * alpha and val_at_pn == base_val + 1
     return RepetitionLawReport(

@@ -30,20 +30,23 @@ def term_mod(params: RecurrenceParams, n: int, m: int) -> int:
     return term_pair(params, n, m)[0]
 
 
-def _period_multiple(params: RecurrenceParams, p: int) -> int:
-    """A multiple of k(p) for a prime p not dividing B, read off the companion matrix M.
+def _period_multiple(params: RecurrenceParams, p: int, e: int = 1) -> int:
+    """A multiple of k(p^e) for a prime p not dividing B, read off the companion matrix M.
 
     If p does not divide D = A^2 + 4B, M has distinct eigenvalues in F_p* or
     F_(p^2)*, so k(p) divides p^2 - 1. If p | D, M = lambda*I + N with N
     nilpotent and nonzero, so k(p) = p * ord(lambda) divides p(p - 1).
+    M^k = I + p^j X gives M^(pk) = I (mod p^(j+1)), p = 2 too, so k(p^e) | p^(e-1) k(p).
     """
-    return p * (p - 1) if params.D % p == 0 else p * p - 1
+    return p ** (e - 1) * (p * (p - 1) if params.D % p == 0 else p * p - 1)
 
 
 def _least_divisor(n: int, holds: Callable[[int], bool]) -> int:
-    """Least d | n with holds(d), given holds(n) and that the passing d are the
-    multiples of one number (a rank or period at a prime, a squares period):
-    strip each prime q of n while n/q passes."""
+    """Least d | n with holds(d), given that the passing d are the multiples of
+    one number (a rank or period at a prime power, a squares period): strip each
+    prime q of n while n/q passes. A bound n that fails raises RuntimeError."""
+    if not holds(n):
+        raise RuntimeError(f"internal invariant broken: the bound {n} does not pass")
     for q in factorint(n):
         while n % q == 0 and holds(n // q):
             n //= q
@@ -230,15 +233,15 @@ class PeriodLawReport:
 
 
 def _ladder_report(params: RecurrenceParams, p: int, e_max: int,
-                   rung: Callable[[int], int]) -> PeriodLawReport:
-    """Build the ladder (e, rung(p^e)) for e = 1..e_max and judge the scaling law."""
+                   rung: Callable[[int, int], int]) -> PeriodLawReport:
+    """Build the ladder (e, rung(p^e, e)) for e = 1..e_max and judge the scaling law."""
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
     if params.B % p == 0:
         raise ValueError(f"p = {p} divides B = {params.B}; no pure periods mod p^e")
     if e_max < 1:
         raise ValueError(f"e_max must be positive, got {e_max}")
-    ladder = tuple((e, rung(p ** e)) for e in range(1, e_max + 1))
+    ladder = tuple((e, rung(p ** e, e)) for e in range(1, e_max + 1))
     k1 = ladder[0][1]
     t = max(e for e, k in ladder if k == k1)
     violations = tuple((e, k) for e, k in ladder if e > t and k != p ** (e - t) * k1)
@@ -246,34 +249,33 @@ def _ladder_report(params: RecurrenceParams, p: int, e_max: int,
                            law_holds=not violations, violations=violations)
 
 
-def period_law_report(params: RecurrenceParams, p: int, e_max: int,
-                      state_budget: int = DEFAULT_STATE_BUDGET) -> PeriodLawReport:
-    """Compute k(p^e) for e = 1..e_max directly and test the prime-power scaling law."""
-    return _ladder_report(params, p, e_max,
-                          lambda m: period(params, m, state_budget=state_budget))
+def period_law_report(params: RecurrenceParams, p: int, e_max: int) -> PeriodLawReport:
+    """Compute each k(p^e), e = 1..e_max, by a checked descent from _period_multiple
+    (the scaling law is not assumed), and test the prime-power scaling law."""
+    return _ladder_report(params, p, e_max, lambda m, e: _least_divisor(
+        _period_multiple(params, p, e), lambda d: term_pair(params, d, m) == (0, 1)))
 
 
-def _squares_period(params: RecurrenceParams, m: int, state_budget: int) -> int:
+def _squares_period(params: RecurrenceParams, m: int, n: int) -> int:
     """Minimal period of s(n) = e(n)^2 mod m (pure regime only), by descent.
 
     s(n+3) = (A^2+B) s(n+2) + (A^2 B+B^2) s(n+1) - B^3 s(n), so d is a period
     exactly when (s(d), s(d+1), s(d+2)) = (0, 1, A^2) (two terms give 4, not 12,
-    for (-1, -2) mod 9), and the periods are the multiples of one d | k(m).
+    for (-1, -2) mod 9), and the periods are the multiples of one d | n, any pair period.
     """
-    k, A, B = _pair_orbit(params, m, state_budget)[1], params.A, params.B
+    A, B = params.A, params.B
 
     def shifts(d: int) -> bool:
         a, b = term_pair(params, d, m)
         return (a * a % m, b * b % m, (A * b + B * a) ** 2 % m) == (0, 1, A * A % m)
 
-    return _least_divisor(k, shifts)
+    return _least_divisor(n, shifts)
 
 
-def squares_period_law_report(params: RecurrenceParams, p: int, e_max: int,
-                              state_budget: int = DEFAULT_STATE_BUDGET) -> PeriodLawReport:
+def squares_period_law_report(params: RecurrenceParams, p: int, e_max: int) -> PeriodLawReport:
     """Same ladder computation and scaling law, for the squared sequence e(n)^2 mod p^e."""
-    return _ladder_report(params, p, e_max,
-                          lambda m: _squares_period(params, m, state_budget))
+    return _ladder_report(params, p, e_max, lambda m, e: _squares_period(
+        params, m, _period_multiple(params, p, e)))
 
 
 def cycle_entry_prediction(params: RecurrenceParams, m: int) -> int | None:

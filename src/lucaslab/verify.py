@@ -298,8 +298,7 @@ def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
 def _suite_zero_index_progression(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
         for m in _moduli(params, 50, True):
-            k = period(params, m)
-            chk = zero_indices_check(params, m, 4 * k)
+            chk = zero_indices_check(params, m, 4 * m * m)  # k < m^2: over 4 periods
             if not chk.holds:
                 return m, chk.first_violation
         return None
@@ -357,7 +356,7 @@ def _suite_repetition_law(config: VerifyConfig) -> Iterator[CheckRecord]:
             rep = repetition_law_check(params, p)
         except DegenerateSequenceError as exc:
             return Verdict("known-exception", f"degenerate: {exc}")
-        if rep.observed_next_rank is not None and rep.observed_next_rank % rep.base_rank:
+        if rep.observed_next_rank % rep.base_rank:
             return f"next rank {rep.observed_next_rank} not a multiple of {rep.base_rank}"
         if rep.holds:
             return Verdict("pass", f"rank {rep.base_rank}, valuation {rep.base_valuation} "

@@ -52,9 +52,13 @@ MUTANTS = (
            ("tests/test_atlas.py",)),
     Mutant("ladder height t is the least stable rung", "modular.py",
            "t = max(e for e, k in ladder", "t = min(e for e, k in ladder", MODULAR),
-    Mutant("repetition scan starts at 3*alpha", "divisibility.py",
-           "range(2 * alpha, 2 * p * alpha + 1, alpha)",
-           "range(3 * alpha, 2 * p * alpha + 1, alpha)", ("tests/test_divisibility.py",)),
+    Mutant("descent skips its bound check", "modular.py",
+           "    if not holds(n):\n", "    if False:\n", MODULAR),
+    Mutant("next rank tested mod p^v, not p^(v+1)", "divisibility.py",
+           "term_mod(params, d, higher) == 0", "term_mod(params, d, higher // p) == 0",
+           ("tests/test_divisibility.py",)),
+    Mutant("period multiple drops its p^(e-1) factor", "modular.py",
+           "return p ** (e - 1) * (", "return (", MODULAR),
     Mutant("pure orbit step drops B", "modular.py",
            "(A * y + B * x) % m\n            if x == 0:\n",
            "(A * y + x) % m\n            if x == 0:\n", MODULAR),

@@ -351,8 +351,8 @@ def test_limit_must_be_positive(capsys, argv):
 
 
 def test_repetition_has_no_limit(capsys):
-    # The scan always runs to 2*p*rank; a shorter one could only abort or
-    # report a false verdict.
+    # The next rank is found by descent from a multiple of k(p^(v+1)), with
+    # nothing for a limit to cut short.
     with pytest.raises(SystemExit) as exc:
         main(["repetition", "-A", "1", "-B", "1", "--p", "5", "--limit", "5"])
     assert exc.value.code == 2
@@ -362,6 +362,7 @@ def test_repetition_has_no_limit(capsys):
 @pytest.mark.parametrize("argv", [
     "term-mod -A 1 -B 1 -n 5 -m 7", "repetition -A 1 -B 1 --p 3", "power-div -A 1 -B 1 -n 4",
     "div-seq -A 1 -B 1", "identities -A 1 -B 1", "verify", "wss -A 2 -B 1",
+    "period-law -A 1 -B 1 --p 2 --e 2", "squares-law -A 2 -B 1 --p 3 --e 2",
 ])
 def test_budget_only_on_commands_that_read_it(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -77,6 +77,14 @@ def test_repetition_fibonacci_p2_anomaly(fib):
     assert not rep.holds
 
 
+def test_repetition_fibonacci_past_a_scan(fib):
+    # The next rank is found by descent, not by scanning multiples of alpha.
+    rep = repetition_law_check(fib, 1000003)
+    assert (rep.base_rank, rep.base_valuation) == (1000004, 1)
+    assert rep.observed_next_rank == 1000007000012 and rep.observed_valuation_at_pn == 2
+    assert rep.holds
+
+
 def test_repetition_pell_p3(pell):
     rep = repetition_law_check(pell, 3)
     assert rep.base_rank == 4               # e(4) = 12

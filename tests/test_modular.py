@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -116,6 +117,12 @@ def test_descent_matches_walk(a, b, p):
     assert _least_divisor(n, lambda d: term_mod(params, d, p) == 0) == first_zero
 
 
+def test_least_divisor_refuses_a_bound_that_fails(fib):
+    # 7 is not a multiple of k(5) = 20: no divisor of it can be the period.
+    with pytest.raises(RuntimeError, match="internal invariant broken"):
+        _least_divisor(7, lambda d: term_pair(fib, d, 5) == (0, 1))
+
+
 # --- cycle structure and period ----------------------------------------------
 
 def test_cycle_structure_spot_values(fib):
@@ -176,7 +183,7 @@ def test_refused_walk_keeps_no_states(a, b, m):
 
 
 @pytest.mark.parametrize("law, args", [
-    (_squares_period, (RecurrenceParams(1, 1), 3**9, 10**8)),       # k = 52488
+    (_squares_period, (RecurrenceParams(1, 1), 3**9, 52488)),       # 52488 = k(3^9)
     (zero_indices_check, (RecurrenceParams(1, 1), 5, 10**6)),       # limit far past k = 20
     (cycle_entry_check, (RecurrenceParams(1, 2), 20014)),           # tail 1, cycle 10006
 ], ids=["squares_period", "zero_indices", "cycle_entry"])
@@ -206,6 +213,8 @@ def test_moduli_past_the_square_guess(fib, pell):
     assert rank(fib, 10007) == RankReport(modulus=10007, alpha=10008, valuation_at_alpha=1)
     report = period_law_report(pell, 101, 3)
     assert report.ladder == ((1, 204), (2, 20604), (3, 2081004)) and report.t == 1
+    # k(10007^2) is past the default budget of a walk; the descent needs none.
+    assert period_law_report(fib, 10007, 2).ladder == ((1, 20016), (2, 200300112))
 
 
 def test_period_spot_values(fib, pell):
@@ -373,6 +382,33 @@ def test_squares_ladders_fibonacci(fib):
         assert rep.ladder == ladder and rep.law_holds
 
 
+def _naive_squares_period(a: int, b: int, m: int) -> int:
+    # One walk of the pair orbit (pure regime) keeping e(n)^2 mod m; the least
+    # divisor d of its length k whose rotation leaves the squares unchanged.
+    squares, x, y = array("l"), 0, 1 % m
+    while not squares or (x, y) != (0, 1 % m):
+        squares.append(x * x % m)
+        x, y = y, (a * y + b * x) % m
+    k = len(squares)
+    return next(d for d in range(1, k + 1)
+                if k % d == 0 and squares[d:] + squares[:d] == squares)
+
+
+@given(a=st.integers(-9, 9), b=st.integers(-9, 9).filter(lambda x: x != 0),
+       p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]), e_max=st.integers(1, 3))
+@example(a=-4, b=-1, p=2, e_max=3)   # the 2-adic anomaly 2, 4, 4
+@example(a=2, b=1, p=13, e_max=3)    # a WSS prime: t = 2
+@example(a=-1, b=-2, p=3, e_max=2)   # squares: two terms would give 4, not 12
+@settings(max_examples=50, deadline=None)
+def test_ladders_match_walks(a, b, p, e_max):
+    assume(b % p)
+    params = RecurrenceParams(a, b)
+    assert period_law_report(params, p, e_max).ladder == tuple(
+        (e, period(params, p ** e)) for e in range(1, e_max + 1))
+    assert squares_period_law_report(params, p, e_max).ladder == tuple(
+        (e, _naive_squares_period(a, b, p ** e)) for e in range(1, e_max + 1))
+
+
 def test_squares_period_divides_pair_period():
     for params in grid_params(3):
         for p in (3, 5, 7):
@@ -476,5 +512,5 @@ def test_orbit_laws_match_naive_walk(a, b, m, limit):
     assert (chk.alpha, chk.holds) == (alpha, not off)
     assert chk.first_violation == (min(off) if off else None)
     sq = [x * x % m for x, _ in states]
-    assert _squares_period(params, m, 10**8) == next(
+    assert _squares_period(params, m, cyc) == next(
         d for d in range(1, cyc + 1) if all(sq[n] == sq[(n + d) % cyc] for n in range(cyc)))
