@@ -36,6 +36,8 @@ EDGE_CASES = [
     "lucaslab term -A 1 -B 1 -n 30000",
     # Over the state budget.
     "lucaslab cycle -A 1 -B 1 -m 100000 --budget 1000",
+    # Every atlas row is written, then the over-budget rows give exit 3.
+    "lucaslab atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 1000",
 ]
 
 VERIFY_SHA256 = {
