@@ -19,6 +19,7 @@ from .core import RecurrenceParams, term_pair
 from .errors import BudgetExceededError
 from .modular import (
     DEFAULT_STATE_BUDGET,
+    _bound_primes,
     _least_divisor,
     _pair_orbit,
     _period_multiple,
@@ -65,7 +66,7 @@ def wss_scan(params: RecurrenceParams, p_max: int) -> list[WssFinding]:
             continue
         n = _period_multiple(params, p)
         if term_pair(params, n, p * p) == (0, 1):
-            k = _least_divisor(n, lambda d: term_pair(params, d, p) == (0, 1))
+            k = _least_divisor(n, lambda d: term_pair(params, d, p) == (0, 1), _bound_primes(p))
             findings.append(WssFinding(A=params.A, B=params.B, p=p, k_p=k, k_p2=k))
     return findings
 

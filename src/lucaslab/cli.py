@@ -15,7 +15,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 
-from .atlas import atlas_rows, write_atlas, write_records, write_wss, wss_scan
+from .atlas import ATLAS_FIELDS, WSS_FIELDS, atlas_row_obj, atlas_rows, write_records, wss_scan
 from .core import DEFAULT_DIGIT_BUDGET, RecurrenceParams, check_term_budget, term
 from .divisibility import (
     divisibility_sequence_check,
@@ -52,91 +52,74 @@ def _params(args: argparse.Namespace) -> RecurrenceParams:
 
 # --- subcommand handlers, each returning (records, fields, exit_code) --------
 
-def _cmd_term(args) -> tuple[list[dict], tuple[str, ...], int]:
+def _record(args, **fields) -> tuple[list[dict], tuple[str, ...], int]:
+    """One record {A, B, **fields}, its columns in that order, and exit code 0."""
+    rec = {"A": args.A, "B": args.B, **fields}
+    return [rec], tuple(rec), 0
+
+
+def _cmd_term(args):
     params = _params(args)
     check_term_budget(params, args.n, args.budget)
-    value = term(params, args.n)
-    rec = {"A": args.A, "B": args.B, "n": args.n, "term": str(value)}
-    return [rec], ("A", "B", "n", "term"), 0
+    return _record(args, n=args.n, term=str(term(params, args.n)))
 
 
 def _cmd_term_mod(args):
-    rec = {"A": args.A, "B": args.B, "n": args.n, "m": args.modulus,
-           "residue": term_mod(_params(args), args.n, args.modulus)}
-    return [rec], ("A", "B", "n", "m", "residue"), 0
+    return _record(args, n=args.n, m=args.modulus,
+                   residue=term_mod(_params(args), args.n, args.modulus))
 
 
 def _cmd_period(args):
-    k = period(_params(args), args.modulus, state_budget=args.budget)
-    rec = {"A": args.A, "B": args.B, "m": args.modulus, "period": k}
-    return [rec], ("A", "B", "m", "period"), 0
+    return _record(args, m=args.modulus,
+                   period=period(_params(args), args.modulus, state_budget=args.budget))
 
 
 def _cmd_cycle(args):
     cs = cycle_structure(_params(args), args.modulus, state_budget=args.budget)
-    rec = {"A": args.A, "B": args.B, "m": args.modulus, "pure": cs.pure,
-           "tail_len": cs.tail_len, "cycle_len": cs.cycle_len}
-    return [rec], ("A", "B", "m", "pure", "tail_len", "cycle_len"), 0
+    return _record(args, m=args.modulus, pure=cs.pure, tail_len=cs.tail_len,
+                   cycle_len=cs.cycle_len)
 
 
 def _cmd_rank(args):
     rr = rank(_params(args), args.modulus, state_budget=args.budget)
     val = rr.valuation_at_alpha
-    rec = {"A": args.A, "B": args.B, "m": args.modulus, "alpha": rr.alpha,
-           "valuation_at_alpha": "inf" if val == math.inf else val}
-    return [rec], ("A", "B", "m", "alpha", "valuation_at_alpha"), 0
+    return _record(args, m=args.modulus, alpha=rr.alpha,
+                   valuation_at_alpha="inf" if val == math.inf else val)
 
 
-def _law_records(args, report) -> tuple[list[dict], tuple[str, ...], int]:
-    rec = {"A": args.A, "B": args.B, "p": args.p, "e_max": args.e,
-           "ladder": report.ladder, "t": report.t, "law_holds": report.law_holds}
-    return [rec], ("A", "B", "p", "e_max", "ladder", "t", "law_holds"), 0
-
-
-def _cmd_period_law(args):
-    return _law_records(args, period_law_report(_params(args), args.p, args.e))
-
-
-def _cmd_squares_law(args):
-    return _law_records(args, squares_period_law_report(_params(args), args.p, args.e))
+def _cmd_ladder(args):
+    report = args.law(_params(args), args.p, args.e)
+    return _record(args, p=args.p, e_max=args.e, ladder=report.ladder, t=report.t,
+                   law_holds=report.law_holds)
 
 
 def _cmd_repetition(args):
-    rec = {"A": args.A, "B": args.B, **asdict(repetition_law_check(_params(args), args.p))}
-    return [rec], tuple(rec.keys()), 0
+    return _record(args, **asdict(repetition_law_check(_params(args), args.p)))
 
 
 def _cmd_square_div(args):
     chk = square_divisibility_check(_params(args), args.n, args.limit, digit_budget=args.budget)
-    rec = {"A": args.A, "B": args.B, "n": args.n, "m_max": args.limit,
-           "holds": chk.holds,
-           "first_counterexample": chk.counterexamples[0][0] if chk.counterexamples else None}
-    return [rec], tuple(rec.keys()), 0
+    return _record(args, n=args.n, m_max=args.limit, holds=chk.holds,
+                   first_counterexample=chk.counterexamples[0][0] if chk.counterexamples else None)
 
 
 def _cmd_power_div(args):
     chk = power_divisibility_check(_params(args), args.n, args.limit)
-    rec = {"A": args.A, "B": args.B, "n": args.n, "k_max": args.limit,
-           "holds": chk.holds,
-           "first_counterexample": chk.counterexamples[0][0] if chk.counterexamples else None}
-    return [rec], tuple(rec.keys()), 0
+    return _record(args, n=args.n, k_max=args.limit, holds=chk.holds,
+                   first_counterexample=chk.counterexamples[0][0] if chk.counterexamples else None)
 
 
 def _cmd_div_seq(args):
     chk = divisibility_sequence_check(_params(args), args.a_max, args.b_max)
-    rec = {"A": args.A, "B": args.B, "a_max": args.a_max, "b_max": args.b_max,
-           "holds": chk.holds, "degenerate": chk.degenerate,
-           "collision_indices": chk.collision_indices,
-           "counterexamples": [[a, b] for a, b, *_ in chk.counterexamples[:10]]}
-    return [rec], tuple(rec.keys()), 0
+    return _record(args, a_max=args.a_max, b_max=args.b_max, holds=chk.holds,
+                   degenerate=chk.degenerate, collision_indices=chk.collision_indices,
+                   counterexamples=[[a, b] for a, b, *_ in chk.counterexamples[:10]])
 
 
 def _cmd_zeros(args):
     chk = zero_indices_check(_params(args), args.modulus, args.limit, state_budget=args.budget)
-    rec = {"A": args.A, "B": args.B, "m": args.modulus, "limit": chk.limit,
-           "alpha": chk.alpha, "holds": chk.holds,
-           "first_violation": chk.first_violation}
-    return [rec], tuple(rec.keys()), 0
+    return _record(args, m=args.modulus, limit=chk.limit, alpha=chk.alpha, holds=chk.holds,
+                   first_violation=chk.first_violation)
 
 
 def _cmd_bound(args):
@@ -162,6 +145,28 @@ def _cmd_identities(args):
                for check, case, bad in found]
     exit_code = 0 if all(r["holds"] for r in records) else 1
     return records, ("A", "B", "check", "case", "holds", "detail"), exit_code
+
+
+def _cmd_wss(args):
+    return map(asdict, wss_scan(_params(args), args.limit)), WSS_FIELDS, 0
+
+
+def _cmd_atlas(args):
+    rows = atlas_rows(_parse_range(args.A_range), _parse_range(args.B_range),
+                      _parse_range(args.m_range), state_budget=args.budget)
+
+    def records():
+        # Every row is written; the over-budget rows then make the exit code 3.
+        errors = []
+        for row in rows:
+            if row.error is not None:
+                errors.append(row.error)
+            yield atlas_row_obj(row)
+        if errors:
+            raise BudgetExceededError(
+                f"{len(errors)} atlas row(s) over budget; first: {errors[0]}")
+
+    return records(), ATLAS_FIELDS, 0
 
 
 def _cmd_verify(args):
@@ -224,52 +229,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "wss":
-        params = RecurrenceParams(args.A, args.B)
-        findings = wss_scan(params, args.limit)
-        with _open_out(args.out) as sink:
-            write_wss(findings, sink, args.format)
-        return 0
-    if args.command == "atlas":
-        rows = atlas_rows(_parse_range(args.A_range), _parse_range(args.B_range),
-                          _parse_range(args.m_range), state_budget=args.budget)
-        errors = []  # every row streams out; any budget error row makes the exit code 3
-
-        def note(row):
-            if row.error is not None:
-                errors.append(row.error)
-            return row
-
-        with _open_out(args.out) as sink:
-            write_atlas(map(note, rows), sink, args.format)
-        if errors:
-            print(f"error: {len(errors)} atlas row(s) over budget; first: {errors[0]}",
-                  file=sys.stderr)
-        return 3 if errors else 0
-    handler = _HANDLERS[args.command]
-    records, fields, code = handler(args)
+    records, fields, code = args.run(args)
     with _open_out(args.out) as sink:
         write_records(records, fields, sink, args.format)
     return code
-
-
-_HANDLERS = {
-    "term": _cmd_term,
-    "term-mod": _cmd_term_mod,
-    "period": _cmd_period,
-    "cycle": _cmd_cycle,
-    "rank": _cmd_rank,
-    "period-law": _cmd_period_law,
-    "squares-law": _cmd_squares_law,
-    "repetition": _cmd_repetition,
-    "square-div": _cmd_square_div,
-    "power-div": _cmd_power_div,
-    "div-seq": _cmd_div_seq,
-    "zeros": _cmd_zeros,
-    "bound": _cmd_bound,
-    "identities": _cmd_identities,
-    "verify": _cmd_verify,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,69 +261,79 @@ def _build_parser() -> argparse.ArgumentParser:
     ab.add_argument("-A", type=int, required=True, help="coefficient A")
     ab.add_argument("-B", type=int, required=True, help="coefficient B (nonzero)")
 
-    def cmd(name: str, help_text: str, *, parents=(), **kwargs):
-        return sub.add_parser(name, help=help_text, parents=[common, *parents], **kwargs)
+    def cmd(name: str, help_text: str, run, *, parents=(), **defaults):
+        p = sub.add_parser(name, help=help_text, parents=[common, *parents])
+        p.set_defaults(run=run, **defaults)
+        return p
 
-    p = cmd("term", "exact term e(n)", parents=[ab, digits])
+    p = cmd("term", "exact term e(n)", _cmd_term, parents=[ab, digits])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
 
-    p = cmd("term-mod", "e(n) mod m by fast doubling", parents=[ab])
+    p = cmd("term-mod", "e(n) mod m by fast doubling", _cmd_term_mod, parents=[ab])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
     p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
 
-    for name, help_text in (("period", "pure period k(m) (requires gcd(B, m) = 1)"),
-                            ("cycle", "tail and cycle of the pair sequence mod m"),
-                            ("rank", "rank of apparition alpha(m)")):
-        p = cmd(name, help_text, parents=[ab, states])
+    for name, help_text, run in (
+            ("period", "pure period k(m) (requires gcd(B, m) = 1)", _cmd_period),
+            ("cycle", "tail and cycle of the pair sequence mod m", _cmd_cycle),
+            ("rank", "rank of apparition alpha(m)", _cmd_rank)):
+        p = cmd(name, help_text, run, parents=[ab, states])
         p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
 
-    for name, help_text in (("period-law", "period ladder k(p^e) and the scaling law"),
-                            ("squares-law", "period ladder of the squared sequence")):
-        p = cmd(name, help_text, parents=[ab])
+    for name, help_text, law in (
+            ("period-law", "period ladder k(p^e) and the scaling law", period_law_report),
+            ("squares-law", "period ladder of the squared sequence",
+             squares_period_law_report)):
+        p = cmd(name, help_text, _cmd_ladder, parents=[ab], law=law)
         p.add_argument("--p", type=int, required=True, help="prime p (not dividing B)")
         p.add_argument("--e", type=int, default=3, help="largest exponent (default 3)")
 
-    p = cmd("repetition", "law of repetition at a prime", parents=[ab])
+    p = cmd("repetition", "law of repetition at a prime", _cmd_repetition, parents=[ab])
     p.add_argument("--p", type=int, required=True)
 
     p = cmd("square-div", "e(n)^2 | e(n*m) iff e(n) | m, for m up to --limit",
-            parents=[ab, digits])
+            _cmd_square_div, parents=[ab, digits])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
     p.add_argument("--limit", type=_positive_int, default=30, help="m_max (default %(default)s)")
 
-    p = cmd("power-div", "e(n)^(k+1) | e(n*e(n)^k) for k up to --limit", parents=[ab])
+    p = cmd("power-div", "e(n)^(k+1) | e(n*e(n)^k) for k up to --limit", _cmd_power_div,
+            parents=[ab])
     p.add_argument("-n", "--index", dest="n", type=int, required=True)
     p.add_argument("--limit", type=_positive_int, default=2, help="k_max (default %(default)s)")
 
-    p = cmd("div-seq", "e(a) | e(b) iff a | b over an index rectangle", parents=[ab])
+    p = cmd("div-seq", "e(a) | e(b) iff a | b over an index rectangle", _cmd_div_seq,
+            parents=[ab])
     p.add_argument("--a-max", dest="a_max", type=int, default=15)
     p.add_argument("--b-max", dest="b_max", type=int, default=60)
 
-    p = cmd("zeros", "zero indices mod m form the multiples of alpha", parents=[ab, states])
+    p = cmd("zeros", "zero indices mod m form the multiples of alpha", _cmd_zeros,
+            parents=[ab, states])
     p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
     p.add_argument("--limit", type=_positive_int, default=100,
                    help="largest index checked (default %(default)s)")
 
-    p = cmd("bound", "trailing-zero counts in base m with the log-ratio bound",
+    p = cmd("bound", "trailing-zero counts in base m with the log-ratio bound", _cmd_bound,
             parents=[ab, digits])
     p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True,
                    help="the base the terms are written in")
     p.add_argument("--limit", type=_positive_int, default=200,
                    help="largest index (default %(default)s)")
 
-    cmd("identities", "run the exact identity checks for one (A, B)", parents=[ab])
+    cmd("identities", "run the exact identity checks for one (A, B)", _cmd_identities,
+        parents=[ab])
 
-    p = cmd("wss", "scan primes for k(p^2) = k(p)", parents=[ab])
+    p = cmd("wss", "scan primes for k(p^2) = k(p)", _cmd_wss, parents=[ab])
     p.add_argument("--limit", type=_positive_int, default=1000,
                    help="scan primes <= limit (default %(default)s)")
 
-    p = cmd("atlas", "bulk cycle/rank table over parameter ranges", parents=[states])
+    p = cmd("atlas", "bulk cycle/rank table over parameter ranges", _cmd_atlas,
+            parents=[states])
     p.add_argument("--A-range", dest="A_range", required=True,
                    help="range 'lo..hi' or comma list")
     p.add_argument("--B-range", dest="B_range", required=True)
     p.add_argument("--m-range", dest="m_range", required=True)
 
-    p = cmd("verify", "run the property-verification suites")
+    p = cmd("verify", "run the property-verification suites", _cmd_verify)
     p.add_argument("--config", metavar="PATH", default=None,
                    help="flat key = value config file")
 

@@ -23,7 +23,14 @@ from .core import (
     valuation,  # noqa: F401  (re-exported: lucaslab.divisibility.valuation)
 )
 from .errors import DegenerateSequenceError
-from .modular import _least_divisor, _period_multiple, _rank_valuation, _residue_valuation, term_mod
+from .modular import (
+    _bound_primes,
+    _least_divisor,
+    _period_multiple,
+    _rank_valuation,
+    _residue_valuation,
+    term_mod,
+)
 
 
 def _require_coprime(params: RecurrenceParams) -> None:
@@ -58,8 +65,8 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
         raise ValueError(f"p = {p} divides B = {params.B}; the law assumes p does not divide B")
 
     # Zeros mod p sit exactly at the multiples of alpha, and alpha | k(p).
-    n = _period_multiple(params, p)
-    alpha = _least_divisor(n, lambda d: term_mod(params, d, p) == 0)
+    n, primes = _period_multiple(params, p), _bound_primes(p)  # primes also holds p
+    alpha = _least_divisor(n, lambda d: term_mod(params, d, p) == 0, primes)
     base_val = _rank_valuation(params, alpha, p)
     if base_val == math.inf:
         raise DegenerateSequenceError(
@@ -68,7 +75,8 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
     assert isinstance(base_val, int)
 
     higher = p ** (base_val + 1)
-    observed = _least_divisor(p ** base_val * n, lambda d: term_mod(params, d, higher) == 0)
+    observed = _least_divisor(p ** base_val * n, lambda d: term_mod(params, d, higher) == 0,
+                              primes)
     # e(alpha) | e(p*alpha), and a coprime family with a finite valuation at
     # alpha is nondegenerate, so e(p*alpha) != 0 and the valuation is finite.
     val_at_pn = _residue_valuation(params, p * alpha, p, base_val)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from sympy import factorint, isprime, perfect_power
 
@@ -41,13 +41,21 @@ def _period_multiple(params: RecurrenceParams, p: int, e: int = 1) -> int:
     return p ** (e - 1) * (p * (p - 1) if params.D % p == 0 else p * p - 1)
 
 
-def _least_divisor(n: int, holds: Callable[[int], bool]) -> int:
+def _bound_primes(p: int) -> set[int]:
+    """Every prime of _period_multiple(params, p, e), for any params and e: those of
+    p, p - 1 and p + 1, each factored on its own (factorint can stall on p^2 - 1
+    long after it has split both factors, e.g. at p = 10^39 + 3)."""
+    return {p, *factorint(p - 1), *factorint(p + 1)}
+
+
+def _least_divisor(n: int, holds: Callable[[int], bool], primes: Iterable[int]) -> int:
     """Least d | n with holds(d), given that the passing d are the multiples of
     one number (a rank or period at a prime power, a squares period): strip each
-    prime q of n while n/q passes. A bound n that fails raises RuntimeError."""
+    q of primes, which must hold every prime of n, while n/q passes. A bound n
+    that fails raises RuntimeError."""
     if not holds(n):
         raise RuntimeError(f"internal invariant broken: the bound {n} does not pass")
-    for q in factorint(n):
+    for q in primes:
         while n % q == 0 and holds(n // q):
             n //= q
     return n
@@ -69,13 +77,14 @@ class CycleStructure:
         return self.tail_len == 0
 
 
-def _pair_orbit(params: RecurrenceParams, m: int,
-                state_budget: int) -> tuple[int, int, int | None]:
+def _pair_orbit(params: RecurrenceParams, m: int, state_budget: int,
+                on_zero: Callable[[int], object] | None = None) -> tuple[int, int, int | None]:
     """Walk the pair orbit of (0, 1) mod m up to its first repeated state.
 
     Returns (tail_len, cycle_len, alpha): the orbit's distinct states number
     tail_len + cycle_len, and alpha is the least n >= 1 with e(n) = 0 (mod m),
-    or None. An orbit of exactly state_budget states is admitted; one state
+    or None. A pure orbit calls on_zero(n), if given, at each zero n of
+    1..cycle_len. An orbit of exactly state_budget states is admitted; one state
     more raises BudgetExceededError. The walk keeps O(log m) states: a pure
     orbit (gcd(B, m) = 1) waits for (0, 1) to come back, and a tail is shorter
     than 2*m.bit_length() (mod p^e the states form a module of length 2e, and
@@ -90,9 +99,11 @@ def _pair_orbit(params: RecurrenceParams, m: int,
         for n in range(1, state_budget + 1):
             x, y = y, (A * y + B * x) % m
             if x == 0:
-                if y == 1:
-                    return 0, n, alpha or n
                 alpha = alpha or n
+                if on_zero is not None:
+                    on_zero(n)
+                if y == 1:
+                    return 0, n, alpha
     else:
         kept, seen, key = 2 * m.bit_length(), {}, y
         for n in range(1, state_budget + 1):
@@ -196,6 +207,7 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
     Requires gcd(B, m) = 1 (a zero and a pure period always exist there).
     Zeros repeat with the period k and e(k) = 0, so both sets differ on
     [1, limit] exactly when, and first where, they differ on [1, min(limit, k)].
+    The zeros come from the one walk that finds k, and only those <= limit are kept.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -203,15 +215,15 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
         raise NoPurePeriodError(
             f"gcd(B, m) != 1 for {params}, m={m}; zero indices need the pure regime"
         )
-    _, k, alpha = _pair_orbit(params, m, state_budget)
+    zeros = []
+
+    def note(n: int) -> None:
+        if n <= limit:
+            zeros.append(n)
+
+    _, k, alpha = _pair_orbit(params, m, state_budget, note)
     assert alpha is not None  # e(k) = e(0) = 0 in the pure regime
-    n_max, A, B = min(limit, k), params.A % m, params.B % m
-    x, y, zeros = 0, 1, set()
-    for n in range(1, n_max + 1):
-        x, y = y, (A * y + B * x) % m
-        if x == 0:
-            zeros.add(n)
-    off = zeros ^ set(range(alpha, n_max + 1, alpha))
+    off = set(zeros) ^ set(range(alpha, min(limit, k) + 1, alpha))
     return ZeroProgressionCheck(modulus=m, limit=limit, alpha=alpha,
                                 holds=not off, first_violation=min(off, default=None))
 
@@ -233,15 +245,18 @@ class PeriodLawReport:
 
 
 def _ladder_report(params: RecurrenceParams, p: int, e_max: int,
-                   rung: Callable[[int, int], int]) -> PeriodLawReport:
-    """Build the ladder (e, rung(p^e, e)) for e = 1..e_max and judge the scaling law."""
+                   rung: Callable[[int, int, set[int]], int]) -> PeriodLawReport:
+    """Build the ladder (e, rung(p^e, n, primes)) for e = 1..e_max, where n is
+    _period_multiple(params, p, e) and primes hold its primes, and judge the scaling law."""
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
     if params.B % p == 0:
         raise ValueError(f"p = {p} divides B = {params.B}; no pure periods mod p^e")
     if e_max < 1:
         raise ValueError(f"e_max must be positive, got {e_max}")
-    ladder = tuple((e, rung(p ** e, e)) for e in range(1, e_max + 1))
+    primes = _bound_primes(p)
+    ladder = tuple((e, rung(p ** e, _period_multiple(params, p, e), primes))
+                   for e in range(1, e_max + 1))
     k1 = ladder[0][1]
     t = max(e for e, k in ladder if k == k1)
     violations = tuple((e, k) for e, k in ladder if e > t and k != p ** (e - t) * k1)
@@ -252,16 +267,17 @@ def _ladder_report(params: RecurrenceParams, p: int, e_max: int,
 def period_law_report(params: RecurrenceParams, p: int, e_max: int) -> PeriodLawReport:
     """Compute each k(p^e), e = 1..e_max, by a checked descent from _period_multiple
     (the scaling law is not assumed), and test the prime-power scaling law."""
-    return _ladder_report(params, p, e_max, lambda m, e: _least_divisor(
-        _period_multiple(params, p, e), lambda d: term_pair(params, d, m) == (0, 1)))
+    return _ladder_report(params, p, e_max, lambda m, n, primes: _least_divisor(
+        n, lambda d: term_pair(params, d, m) == (0, 1), primes))
 
 
-def _squares_period(params: RecurrenceParams, m: int, n: int) -> int:
+def _squares_period(params: RecurrenceParams, m: int, n: int, primes: Iterable[int]) -> int:
     """Minimal period of s(n) = e(n)^2 mod m (pure regime only), by descent.
 
     s(n+3) = (A^2+B) s(n+2) + (A^2 B+B^2) s(n+1) - B^3 s(n), so d is a period
     exactly when (s(d), s(d+1), s(d+2)) = (0, 1, A^2) (two terms give 4, not 12,
-    for (-1, -2) mod 9), and the periods are the multiples of one d | n, any pair period.
+    for (-1, -2) mod 9), and the periods are the multiples of one d | n, any pair
+    period; primes hold the primes of n.
     """
     A, B = params.A, params.B
 
@@ -269,13 +285,12 @@ def _squares_period(params: RecurrenceParams, m: int, n: int) -> int:
         a, b = term_pair(params, d, m)
         return (a * a % m, b * b % m, (A * b + B * a) ** 2 % m) == (0, 1, A * A % m)
 
-    return _least_divisor(n, shifts)
+    return _least_divisor(n, shifts, primes)
 
 
 def squares_period_law_report(params: RecurrenceParams, p: int, e_max: int) -> PeriodLawReport:
     """Same ladder computation and scaling law, for the squared sequence e(n)^2 mod p^e."""
-    return _ladder_report(params, p, e_max, lambda m, e: _squares_period(
-        params, m, _period_multiple(params, p, e)))
+    return _ladder_report(params, p, e_max, lambda *rung: _squares_period(params, *rung))
 
 
 def cycle_entry_prediction(params: RecurrenceParams, m: int) -> int | None:

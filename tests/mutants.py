@@ -71,8 +71,12 @@ MUTANTS = (
     Mutant("cycle entry reads the residue at cycle_len - 1", "modular.py",
            "term_mod(params, cyc, m) if tail == 1", "term_mod(params, cyc - 1, m) if tail == 1",
            MODULAR),
-    Mutant("zero walk stops one state short", "modular.py",
-           "for n in range(1, n_max + 1):", "for n in range(1, n_max):", MODULAR),
+    Mutant("zero callback skips the closing zero n = k", "modular.py",
+           "if on_zero is not None:", "if on_zero is not None and y != 1:", MODULAR),
+    Mutant("atlas exits 3 only when more than one row is over budget", "cli.py",
+           "        if errors:\n", "        if len(errors) > 1:\n", ("tests/test_golden.py",)),
+    Mutant("bound primes drop the primes of p + 1", "modular.py",
+           ", *factorint(p + 1)}", "}", MODULAR),
 )
 
 

@@ -85,6 +85,15 @@ def test_repetition_fibonacci_past_a_scan(fib):
     assert rep.holds
 
 
+def test_repetition_at_a_40_digit_prime(fib):
+    # The descent factors p - 1 and p + 1 apart; factorint stalls on p^2 - 1 here.
+    p = 10**39 + 3
+    rep = repetition_law_check(fib, p)
+    assert (rep.base_rank, rep.base_valuation) == (p + 1, 1)
+    assert rep.observed_next_rank == p * (p + 1) and rep.observed_valuation_at_pn == 2
+    assert rep.holds
+
+
 def test_repetition_pell_p3(pell):
     rep = repetition_law_check(pell, 3)
     assert rep.base_rank == 4               # e(4) = 12

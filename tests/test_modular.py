@@ -8,6 +8,7 @@ from array import array
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from lucaslab import (
     BudgetExceededError,
@@ -26,7 +27,13 @@ from lucaslab import (
     zero_indices_check,
 )
 from lucaslab.core import _nu
-from lucaslab.modular import RankReport, _least_divisor, _period_multiple, _squares_period
+from lucaslab.modular import (
+    RankReport,
+    _bound_primes,
+    _least_divisor,
+    _period_multiple,
+    _squares_period,
+)
 
 from .conftest import grid_params, naive_pair_orbit, naive_period, naive_terms
 
@@ -109,18 +116,18 @@ PRIMES_BELOW_400 = [p for p in range(2, 400) if all(p % q for q in range(2, math
 def test_descent_matches_walk(a, b, p):
     assume(b % p)
     params = RecurrenceParams(a, b)
-    n = _period_multiple(params, p)
-    k = _least_divisor(n, lambda d: term_pair(params, d, p) == (0, 1))
+    n, primes = _period_multiple(params, p), _bound_primes(p)
+    k = _least_divisor(n, lambda d: term_pair(params, d, p) == (0, 1), primes)
     tail, cycle, states = naive_pair_orbit(a, b, p)  # naive_period, keeping the states
     assert (tail, cycle) == (0, k)
     first_zero = next(j for j in range(1, k + 1) if states[j % k][0] == 0)
-    assert _least_divisor(n, lambda d: term_mod(params, d, p) == 0) == first_zero
+    assert _least_divisor(n, lambda d: term_mod(params, d, p) == 0, primes) == first_zero
 
 
 def test_least_divisor_refuses_a_bound_that_fails(fib):
     # 7 is not a multiple of k(5) = 20: no divisor of it can be the period.
     with pytest.raises(RuntimeError, match="internal invariant broken"):
-        _least_divisor(7, lambda d: term_pair(fib, d, 5) == (0, 1))
+        _least_divisor(7, lambda d: term_pair(fib, d, 5) == (0, 1), [7])
 
 
 # --- cycle structure and period ----------------------------------------------
@@ -183,7 +190,7 @@ def test_refused_walk_keeps_no_states(a, b, m):
 
 
 @pytest.mark.parametrize("law, args", [
-    (_squares_period, (RecurrenceParams(1, 1), 3**9, 52488)),       # 52488 = k(3^9)
+    (_squares_period, (RecurrenceParams(1, 1), 3**9, 52488, [2, 3])),  # 52488 = 2^3 3^8 = k(3^9)
     (zero_indices_check, (RecurrenceParams(1, 1), 5, 10**6)),       # limit far past k = 20
     (cycle_entry_check, (RecurrenceParams(1, 2), 20014)),           # tail 1, cycle 10006
 ], ids=["squares_period", "zero_indices", "cycle_entry"])
@@ -364,6 +371,24 @@ def test_period_law_two_adic_anomaly():
     assert rep.violations == ((3, 4),)
 
 
+def test_ladders_at_a_40_digit_prime(fib):
+    # The descent factors p - 1 and p + 1 apart; factorint stalls on p^2 - 1 here.
+    p = 10**39 + 3
+    assert period_law_report(fib, p, 2).ladder == ((1, 2 * (p + 1)), (2, 2 * p * (p + 1)))
+    assert squares_period_law_report(fib, p, 1).ladder == ((1, p + 1),)
+
+
+def test_ladders_check_p_before_factoring(fib, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorint({n}) called")
+    monkeypatch.setattr("lucaslab.modular.factorint", refuse)
+    for law in (period_law_report, squares_period_law_report):
+        with pytest.raises(ValueError, match="must be prime"):
+            law(fib, 10**39 + 1, 2)
+        with pytest.raises(ValueError, match="divides B"):
+            law(RecurrenceParams(1, 10**39 + 3), 10**39 + 3, 2)
+
+
 def test_squares_period_spot_values(fib, pell):
     assert squares_period_law_report(fib, 5, 1).ladder == ((1, 10),)
     assert squares_period_law_report(fib, 2, 1).ladder == ((1, 3),)
@@ -512,5 +537,5 @@ def test_orbit_laws_match_naive_walk(a, b, m, limit):
     assert (chk.alpha, chk.holds) == (alpha, not off)
     assert chk.first_violation == (min(off) if off else None)
     sq = [x * x % m for x, _ in states]
-    assert _squares_period(params, m, cyc) == next(
+    assert _squares_period(params, m, cyc, factorint(cyc)) == next(
         d for d in range(1, cyc + 1) if all(sq[n] == sq[(n + d) % cyc] for n in range(cyc)))
