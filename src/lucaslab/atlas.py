@@ -2,28 +2,19 @@
 
 All emission is deterministic: inputs are processed in ascending order and
 write_records, the one writer behind every command, uses fixed field order, a
-fixed separator style, and "\n" line endings, so parsing an emitted file and
-re-emitting it reproduces the bytes.
+fixed separator style, and "\n" line endings.
 """
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .core import RecurrenceParams, term_pair
-from .errors import BudgetExceededError
-from .modular import (
-    DEFAULT_STATE_BUDGET,
-    _bound_primes,
-    _least_divisor,
-    _pair_orbit,
-    _period_multiple,
-)
+from .modular import _bound_primes, _least_divisor, _orbit, _period_multiple
 
 
 @dataclass(frozen=True)
@@ -73,40 +64,35 @@ def wss_scan(params: RecurrenceParams, p_max: int) -> list[WssFinding]:
 
 @dataclass(frozen=True)
 class AtlasRow:
-    """One (A, B, m) record of cycle structure and rank; error rows carry a message."""
+    """One (A, B, m) record of cycle structure and rank."""
 
     A: int
     B: int
     m: int
-    pure: bool | None = None
-    tail_len: int | None = None
-    cycle_len: int | None = None
-    alpha: int | None = None
-    error: str | None = None
+    pure: bool
+    tail_len: int
+    cycle_len: int
+    alpha: int | None
+    error: None = None  # always None; bench/trace.py's atlas_rows.error_rows counter reads it
 
 
 def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
-               m_values: Iterable[int],
-               state_budget: int = DEFAULT_STATE_BUDGET) -> Iterator[AtlasRow]:
+               m_values: Iterable[int]) -> Iterator[AtlasRow]:
     """Lazily produce one AtlasRow per triple, in (A, B, m) lexicographic order.
 
     B = 0 is skipped automatically. Every m must be >= 2, checked when the
-    call is made, before any row exists. A budget blowup produces an error
-    row for that triple instead of aborting the batch.
+    call is made, before any row exists.
     """
     m_sorted = sorted(set(m_values))
     if m_sorted and m_sorted[0] < 2:
         raise ValueError(f"every modulus must be >= 2, got {m_sorted[0]}")
     B_sorted = sorted(set(B_values) - {0})
-    return (_atlas_row(A, B, m, state_budget) for A in sorted(set(A_values))
+    return (_atlas_row(A, B, m) for A in sorted(set(A_values))
             for B in B_sorted for m in m_sorted)
 
 
-def _atlas_row(A: int, B: int, m: int, state_budget: int) -> AtlasRow:
-    try:
-        tail, cyc, alpha = _pair_orbit(RecurrenceParams(A, B), m, state_budget)
-    except BudgetExceededError as exc:
-        return AtlasRow(A=A, B=B, m=m, error=str(exc))
+def _atlas_row(A: int, B: int, m: int) -> AtlasRow:
+    tail, cyc, alpha = _orbit(RecurrenceParams(A, B), m)
     return AtlasRow(A=A, B=B, m=m, pure=tail == 0, tail_len=tail,
                     cycle_len=cyc, alpha=alpha)
 
@@ -153,75 +139,5 @@ def write_records(records: Iterable[dict], fields: tuple[str, ...], sink: TextIO
     return count
 
 
-def _csv_value(cell: str) -> bool | int | str:
-    if cell in ("true", "false"):
-        return cell == "true"
-    try:
-        return int(cell)
-    except ValueError:
-        return cell
-
-
-def read_records(text: str, fields: tuple[str, ...], fmt: str = "json") -> Iterator[dict]:
-    """Inverse of write_records for scalar cells, one dict per record.
-
-    JSON objects come back as written; a CSV row maps each field to its
-    cell, with "true"/"false" as bools, integers as ints and empty cells
-    left out.
-    """
-    if fmt == "json":
-        for line in text.splitlines():
-            yield json.loads(line)
-    elif fmt == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != fields:
-            raise ValueError(f"unexpected header {header}, expected {list(fields)}")
-        for row in reader:
-            if len(row) != len(fields):
-                raise ValueError(f"expected {len(fields)} cells, got {row}")
-            yield {f: _csv_value(cell) for f, cell in zip(fields, row) if cell != ""}
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-
-
 def atlas_row_obj(row: AtlasRow) -> dict:
-    if row.error is not None:
-        return {"A": row.A, "B": row.B, "m": row.m, "error": row.error}
-    return {"A": row.A, "B": row.B, "m": row.m, "pure": row.pure,
-            "tail_len": row.tail_len, "cycle_len": row.cycle_len,
-            "alpha": row.alpha}
-
-
-def write_atlas(rows: Iterable[AtlasRow], sink: TextIO, fmt: str = "json") -> int:
-    """Write atlas rows as JSON lines or CSV; returns the row count.
-
-    A CSV error row keeps its key and leaves every other cell empty.
-    """
-    return write_records(map(atlas_row_obj, rows), ATLAS_FIELDS, sink, fmt)
-
-
-def parse_atlas(text: str, fmt: str = "json") -> list[AtlasRow]:
-    """Inverse of write_atlas; re-emitting the result reproduces the bytes.
-
-    CSV error rows carry no message and parse with error="budget".
-    """
-    rows = []
-    for rec in read_records(text, ATLAS_FIELDS, fmt):
-        if "error" in rec or "pure" not in rec:
-            rows.append(AtlasRow(A=rec["A"], B=rec["B"], m=rec["m"],
-                                 error=rec.get("error", "budget")))
-        else:
-            rows.append(AtlasRow(A=rec["A"], B=rec["B"], m=rec["m"], pure=rec["pure"],
-                                 tail_len=rec["tail_len"], cycle_len=rec["cycle_len"],
-                                 alpha=rec.get("alpha")))
-    return rows
-
-
-def write_wss(findings: Iterable[WssFinding], sink: TextIO, fmt: str = "json") -> int:
-    return write_records(map(asdict, findings), WSS_FIELDS, sink, fmt)
-
-
-def parse_wss(text: str, fmt: str = "json") -> list[WssFinding]:
-    return [WssFinding(**{f: rec[f] for f in WSS_FIELDS})
-            for rec in read_records(text, WSS_FIELDS, fmt)]
+    return {f: getattr(row, f) for f in ATLAS_FIELDS}

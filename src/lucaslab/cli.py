@@ -70,18 +70,17 @@ def _cmd_term_mod(args):
 
 
 def _cmd_period(args):
-    return _record(args, m=args.modulus,
-                   period=period(_params(args), args.modulus, state_budget=args.budget))
+    return _record(args, m=args.modulus, period=period(_params(args), args.modulus))
 
 
 def _cmd_cycle(args):
-    cs = cycle_structure(_params(args), args.modulus, state_budget=args.budget)
+    cs = cycle_structure(_params(args), args.modulus)
     return _record(args, m=args.modulus, pure=cs.pure, tail_len=cs.tail_len,
                    cycle_len=cs.cycle_len)
 
 
 def _cmd_rank(args):
-    rr = rank(_params(args), args.modulus, state_budget=args.budget)
+    rr = rank(_params(args), args.modulus)
     val = rr.valuation_at_alpha
     return _record(args, m=args.modulus, alpha=rr.alpha,
                    valuation_at_alpha="inf" if val == math.inf else val)
@@ -153,20 +152,8 @@ def _cmd_wss(args):
 
 def _cmd_atlas(args):
     rows = atlas_rows(_parse_range(args.A_range), _parse_range(args.B_range),
-                      _parse_range(args.m_range), state_budget=args.budget)
-
-    def records():
-        # Every row is written; the over-budget rows then make the exit code 3.
-        errors = []
-        for row in rows:
-            if row.error is not None:
-                errors.append(row.error)
-            yield atlas_row_obj(row)
-        if errors:
-            raise BudgetExceededError(
-                f"{len(errors)} atlas row(s) over budget; first: {errors[0]}")
-
-    return records(), ATLAS_FIELDS, 0
+                      _parse_range(args.m_range))
+    return map(atlas_row_obj, rows), ATLAS_FIELDS, 0
 
 
 def _cmd_verify(args):
@@ -250,9 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH (default stdout)")
 
-    states = argparse.ArgumentParser(add_help=False)
-    states.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET,
-                        help="most pair states a cycle scan may walk (default %(default)s)")
     digits = argparse.ArgumentParser(add_help=False)
     digits.add_argument("--budget", type=_positive_int, default=DEFAULT_DIGIT_BUDGET,
                         help="most decimal digits of an exact term (default %(default)s)")
@@ -277,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("period", "pure period k(m) (requires gcd(B, m) = 1)", _cmd_period),
             ("cycle", "tail and cycle of the pair sequence mod m", _cmd_cycle),
             ("rank", "rank of apparition alpha(m)", _cmd_rank)):
-        p = cmd(name, help_text, run, parents=[ab, states])
+        p = cmd(name, help_text, run, parents=[ab])
         p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
 
     for name, help_text, law in (
@@ -307,10 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-max", dest="b_max", type=int, default=60)
 
     p = cmd("zeros", "zero indices mod m form the multiples of alpha", _cmd_zeros,
-            parents=[ab, states])
+            parents=[ab])
     p.add_argument("-m", "--modulus", dest="modulus", type=int, required=True)
     p.add_argument("--limit", type=_positive_int, default=100,
                    help="largest index checked (default %(default)s)")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET,
+                   help="most pair states the zero walk may take (default %(default)s)")
 
     p = cmd("bound", "trailing-zero counts in base m with the log-ratio bound", _cmd_bound,
             parents=[ab, digits])
@@ -326,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_positive_int, default=1000,
                    help="scan primes <= limit (default %(default)s)")
 
-    p = cmd("atlas", "bulk cycle/rank table over parameter ranges", _cmd_atlas,
-            parents=[states])
+    p = cmd("atlas", "bulk cycle/rank table over parameter ranges", _cmd_atlas)
     p.add_argument("--A-range", dest="A_range", required=True,
                    help="range 'lo..hi' or comma list")
     p.add_argument("--B-range", dest="B_range", required=True)

@@ -77,14 +77,12 @@ class CycleStructure:
         return self.tail_len == 0
 
 
-def _pair_orbit(params: RecurrenceParams, m: int, state_budget: int,
-                on_zero: Callable[[int], object] | None = None) -> tuple[int, int, int | None]:
+def _pair_orbit(params: RecurrenceParams, m: int, state_budget: int) -> tuple[int, int, int | None]:
     """Walk the pair orbit of (0, 1) mod m up to its first repeated state.
 
     Returns (tail_len, cycle_len, alpha): the orbit's distinct states number
     tail_len + cycle_len, and alpha is the least n >= 1 with e(n) = 0 (mod m),
-    or None. A pure orbit calls on_zero(n), if given, at each zero n of
-    1..cycle_len. An orbit of exactly state_budget states is admitted; one state
+    or None. An orbit of exactly state_budget states is admitted; one state
     more raises BudgetExceededError. The walk keeps O(log m) states: a pure
     orbit (gcd(B, m) = 1) waits for (0, 1) to come back, and a tail is shorter
     than 2*m.bit_length() (mod p^e the states form a module of length 2e, and
@@ -100,8 +98,6 @@ def _pair_orbit(params: RecurrenceParams, m: int, state_budget: int,
             x, y = y, (A * y + B * x) % m
             if x == 0:
                 alpha = alpha or n
-                if on_zero is not None:
-                    on_zero(n)
                 if y == 1:
                     return 0, n, alpha
     else:
@@ -124,16 +120,71 @@ def _pair_orbit(params: RecurrenceParams, m: int, state_budget: int,
     )
 
 
-def cycle_structure(params: RecurrenceParams, m: int,
-                    state_budget: int = DEFAULT_STATE_BUDGET) -> CycleStructure:
-    """Minimal (tail_len, cycle_len) of the pair sequence mod m, from one walk
-    of tail_len + cycle_len states that state_budget bounds."""
-    tail, cyc, _ = _pair_orbit(params, m, state_budget)
+def _orbit_by_descent(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
+    """(tail_len, cycle_len, alpha) as _pair_orbit gives them, from O(log m)
+    residue calls and the factors of m, p - 1 and p + 1 for each p | m.
+
+    By Wall's rule the cycle length divides the lcm N, over p^e || m, of
+    _period_multiple(params, p, e) when p does not divide B; of p^(e-1)(p - 1)
+    when p | B but not A (the orbit follows the unit root = A mod p); and of 1
+    when p divides A and B (the orbit dies to (0, 0)). The tail is shorter
+    than T = 2*m.bit_length(), or 0 when gcd(B, m) = 1, so the cycle is the
+    least d | N with pair(T + d) = pair(T). Zeros mod the part u of m prime to
+    B are the multiples of alpha(u) | N(u). A p | B that does not divide A
+    leaves e(n) = A^(n-1) (mod p), never 0; otherwise e(n) = 0 mod m / u for
+    every n past T, so alpha is the first zero up to T or else the least
+    multiple of alpha(u) past T.
+    """
+    A, B = params.A, params.B
+    unit = bound = unit_bound = 1
+    primes: set[int] = set()
+    zero_free = False
+    for p, e in factorint(m).items():
+        primes |= _bound_primes(p)
+        if B % p:
+            unit *= p ** e
+            unit_bound = math.lcm(unit_bound, _period_multiple(params, p, e))
+        elif A % p:
+            zero_free = True
+            bound = math.lcm(bound, p ** (e - 1) * (p - 1))
+    bound = math.lcm(bound, unit_bound)
+    T = 0 if unit == m else 2 * m.bit_length()
+
+    def pair(n: int) -> tuple[int, int]:
+        return term_pair(params, n, m)
+
+    start = pair(T)
+    cycle = _least_divisor(bound, lambda d: pair(T + d) == start, primes)
+    tail = next(t for t in range(T + 1) if pair(t) == pair(t + cycle))
+    if zero_free:
+        return tail, cycle, None
+    alpha = next((n for n in range(1, T + 1) if pair(n)[0] == 0), None)
+    if alpha is None:
+        step = _least_divisor(unit_bound, lambda d: term_pair(params, d, unit)[0] == 0, primes)
+        alpha = (T // step + 1) * step
+    return tail, cycle, alpha
+
+
+SHORT_ORBIT = 2**12
+
+
+def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
+    """(tail_len, cycle_len, alpha) of the pair orbit mod m: walked when it
+    closes within SHORT_ORBIT states, so a short orbit never factors m (a
+    product of two ~10^29 primes would stall factorint), else by descent."""
+    try:
+        return _pair_orbit(params, m, SHORT_ORBIT)
+    except BudgetExceededError:
+        return _orbit_by_descent(params, m)
+
+
+def cycle_structure(params: RecurrenceParams, m: int) -> CycleStructure:
+    """Minimal (tail_len, cycle_len) of the pair sequence mod m."""
+    tail, cyc, _ = _orbit(params, m)
     return CycleStructure(modulus=m, tail_len=tail, cycle_len=cyc)
 
 
-def period(params: RecurrenceParams, m: int,
-           state_budget: int = DEFAULT_STATE_BUDGET) -> int:
+def period(params: RecurrenceParams, m: int) -> int:
     """The period k(m): least k >= 1 with (e(k), e(k+1)) = (0, 1) mod m.
 
     Exists iff gcd(B, m) = 1; the degenerate regime raises NoPurePeriodError.
@@ -145,7 +196,7 @@ def period(params: RecurrenceParams, m: int,
             f"gcd(B, m) = {math.gcd(params.B, m)} != 1 for {params}, m={m}; "
             "no pure period exists, use cycle_structure"
         )
-    return _pair_orbit(params, m, state_budget)[1]
+    return _orbit(params, m)[1]
 
 
 @dataclass(frozen=True)
@@ -162,10 +213,9 @@ class RankReport:
     valuation_at_alpha: int | float | None
 
 
-def rank(params: RecurrenceParams, m: int,
-         state_budget: int = DEFAULT_STATE_BUDGET) -> RankReport:
-    """Least n >= 1 with e(n) = 0 (mod m), scanning one tail plus one cycle."""
-    alpha = _pair_orbit(params, m, state_budget)[2]
+def rank(params: RecurrenceParams, m: int) -> RankReport:
+    """Least n >= 1 with e(n) = 0 (mod m), from the orbit mod m."""
+    alpha = _orbit(params, m)[2]
     val = None
     if alpha is not None:
         p, e = perfect_power(m) or (m, 1)  # m is a prime power exactly when this p is prime
@@ -207,7 +257,8 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
     Requires gcd(B, m) = 1 (a zero and a pure period always exist there).
     Zeros repeat with the period k and e(k) = 0, so both sets differ on
     [1, limit] exactly when, and first where, they differ on [1, min(limit, k)].
-    The zeros come from the one walk that finds k, and only those <= limit are kept.
+    With k and alpha from the orbit, one walk of min(limit, k) states, which
+    state_budget bounds, compares each e(n) with n as it goes and keeps nothing.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -215,17 +266,22 @@ def zero_indices_check(params: RecurrenceParams, m: int, limit: int,
         raise NoPurePeriodError(
             f"gcd(B, m) != 1 for {params}, m={m}; zero indices need the pure regime"
         )
-    zeros = []
-
-    def note(n: int) -> None:
-        if n <= limit:
-            zeros.append(n)
-
-    _, k, alpha = _pair_orbit(params, m, state_budget, note)
+    _, k, alpha = _orbit(params, m)
     assert alpha is not None  # e(k) = e(0) = 0 in the pure regime
-    off = set(zeros) ^ set(range(alpha, min(limit, k) + 1, alpha))
+    states = min(limit, k)
+    if states > state_budget:
+        raise BudgetExceededError(
+            f"modulus {m} needs a walk of {states} pair states, over the budget of {state_budget}"
+        )
+    A, B = params.A % m, params.B % m
+    x, y, first_violation = 0, 1, None
+    for n in range(1, states + 1):
+        x, y = y, (A * y + B * x) % m
+        if (x == 0) != (n % alpha == 0):
+            first_violation = n
+            break
     return ZeroProgressionCheck(modulus=m, limit=limit, alpha=alpha,
-                                holds=not off, first_violation=min(off, default=None))
+                                holds=first_violation is None, first_violation=first_violation)
 
 
 @dataclass(frozen=True)
@@ -331,13 +387,12 @@ class CycleEntryCheck:
     consistent: bool
 
 
-def cycle_entry_check(params: RecurrenceParams, m: int,
-                      state_budget: int = DEFAULT_STATE_BUDGET) -> CycleEntryCheck:
+def cycle_entry_check(params: RecurrenceParams, m: int) -> CycleEntryCheck:
     """Compare cycle_entry_prediction against the orbit mod m. Its states are
     distinct and (1, A) is the one at index 1, so (1, A) is on the cycle exactly
     when tail_len = 1, right after the state (e(cycle_len), 1) at cycle_len."""
     predicted = cycle_entry_prediction(params, m)  # also validates gcd(B, m) != 1
-    tail, cyc, _ = _pair_orbit(params, m, state_budget)
+    tail, cyc, _ = _orbit(params, m)
     observed = term_mod(params, cyc, m) if tail == 1 else None
     consistent = observed == predicted
     return CycleEntryCheck(modulus=m, predicted=predicted,

@@ -40,6 +40,14 @@ def naive_pair_orbit(A: int, B: int, m: int) -> tuple[int, int, list[tuple[int, 
     return first, i - first, states
 
 
+def naive_orbit(A: int, B: int, m: int) -> tuple[int, int, int | None]:
+    """(tail, cycle, alpha) by naive_pair_orbit; alpha is the least n >= 1 with
+    e(n) = 0 (mod m), or None."""
+    tail, cyc, states = naive_pair_orbit(A, B, m)
+    states.append(states[tail])  # e(tail + cycle) = e(tail) closes the orbit
+    return tail, cyc, next((n for n, (x, _) in enumerate(states) if n and x == 0), None)
+
+
 def naive_period(A: int, B: int, m: int) -> int:
     tail, cyc, _ = naive_pair_orbit(A, B, m)
     assert tail == 0, "naive_period requires the pure regime"

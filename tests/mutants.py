@@ -71,12 +71,26 @@ MUTANTS = (
     Mutant("cycle entry reads the residue at cycle_len - 1", "modular.py",
            "term_mod(params, cyc, m) if tail == 1", "term_mod(params, cyc - 1, m) if tail == 1",
            MODULAR),
-    Mutant("zero callback skips the closing zero n = k", "modular.py",
-           "if on_zero is not None:", "if on_zero is not None and y != 1:", MODULAR),
-    Mutant("atlas exits 3 only when more than one row is over budget", "cli.py",
-           "        if errors:\n", "        if len(errors) > 1:\n", ("tests/test_golden.py",)),
     Mutant("bound primes drop the primes of p + 1", "modular.py",
            ", *factorint(p + 1)}", "}", MODULAR),
+    Mutant("descent bound at p not dividing B drops p^(e-1)", "modular.py",
+           "_period_multiple(params, p, e))", "_period_multiple(params, p, 1))", MODULAR),
+    Mutant("descent bound at p | B loses its (p - 1)", "modular.py",
+           "p ** (e - 1) * (p - 1))", "p ** (e - 1))", MODULAR),
+    Mutant("descent takes p | A and B for a zero-free prime", "modular.py",
+           "        elif A % p:\n", "        else:\n", MODULAR),
+    Mutant("descent tail bound T is halved", "modular.py",
+           "else 2 * m.bit_length()", "else m.bit_length()", MODULAR),
+    Mutant("impure alpha skips its scan to T", "modular.py",
+           "alpha = next((n for n in range(1, T + 1) if pair(n)[0] == 0), None)",
+           "alpha = None", MODULAR),
+    Mutant("impure alpha is not lifted past T", "modular.py",
+           "alpha = (T // step + 1) * step", "alpha = step", MODULAR),
+    Mutant("zero walk step drops B", "modular.py",
+           "(A * y + B * x) % m\n        if (x == 0)", "(A * y + x) % m\n        if (x == 0)",
+           MODULAR),
+    Mutant("no short walk: every orbit is factored", "modular.py",
+           "SHORT_ORBIT = 2**12", "SHORT_ORBIT = 0", MODULAR),
 )
 
 

@@ -1,15 +1,16 @@
-"""Wall-Sun-Sun scanning, the atlas batch driver, and serialization round-trips."""
+"""Wall-Sun-Sun scanning, the atlas batch driver, and the record writer."""
 from __future__ import annotations
 
 import io
+from dataclasses import asdict
 
 import pytest
 from sympy import factorint
 
 from lucaslab import RecurrenceParams, atlas, atlas_rows, modular, term, term_pair, wss_scan
-from lucaslab.atlas import parse_atlas, parse_wss, write_atlas, write_wss
+from lucaslab.atlas import ATLAS_FIELDS, WSS_FIELDS, atlas_row_obj, write_records
 
-from .conftest import naive_period
+from .conftest import naive_orbit, naive_period
 
 
 # --- wss scanning --------------------------------------------------------------
@@ -75,7 +76,7 @@ def test_wss_scan_walks_no_orbit(monkeypatch, pell):
         raise AssertionError("wss_scan walked an orbit")
 
     monkeypatch.setattr(modular, "_pair_orbit", refuse)
-    monkeypatch.setattr(atlas, "_pair_orbit", refuse)
+    monkeypatch.setattr(atlas, "_orbit", refuse)
     assert [f.p for f in wss_scan(pell, 2000)] == [13, 31]
 
 
@@ -129,56 +130,34 @@ def test_atlas_rejects_small_modulus():
 
 
 def test_atlas_budget_error_rows():
-    rows = list(atlas_rows([1], [1], [3, 1000], state_budget=1000))  # k(1000) = 1500
-    assert rows[0].error is None
-    assert rows[1].error is not None and rows[1].cycle_len is None
+    # No row is an error row: k(100000) = 150000 is past the short walk, and the
+    # descent answers it with no budget.
+    rows = list(atlas_rows([1], [1], [3, 100000]))
+    assert [(r.tail_len, r.cycle_len, r.alpha, r.error) for r in rows] == [
+        (*naive_orbit(1, 1, m), None) for m in (3, 100000)]
 
 
-# --- serialization round-trips ---------------------------------------------------
+# --- the record writer -----------------------------------------------------------
 
-def _atlas_fixture_rows():
-    return list(atlas_rows([1, 2], [1, 2], range(2, 8)))
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_atlas_round_trip_bytes(fmt):
-    rows = _atlas_fixture_rows()
-    first = io.StringIO()
-    write_atlas(rows, first, fmt)
-    parsed = parse_atlas(first.getvalue(), fmt)
-    second = io.StringIO()
-    write_atlas(parsed, second, fmt)
-    assert first.getvalue() == second.getvalue()
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_wss_round_trip_bytes(pell, fmt):
-    findings = wss_scan(pell, 49)
-    first = io.StringIO()
-    write_wss(findings, first, fmt)
-    parsed = parse_wss(first.getvalue(), fmt)
-    second = io.StringIO()
-    write_wss(parsed, second, fmt)
-    assert first.getvalue() == second.getvalue()
-    assert parsed == findings
+def _write_atlas(A_values, B_values, m_values, fmt: str) -> str:
+    sink = io.StringIO()
+    write_records(map(atlas_row_obj, atlas_rows(A_values, B_values, m_values)),
+                  ATLAS_FIELDS, sink, fmt)
+    return sink.getvalue()
 
 
 def test_atlas_output_deterministic():
-    a, b = io.StringIO(), io.StringIO()
-    write_atlas(_atlas_fixture_rows(), a, "json")
-    write_atlas(_atlas_fixture_rows(), b, "json")
-    assert a.getvalue() == b.getvalue()
+    first = _write_atlas([1, 2], [1, 2], range(2, 8), "json")
+    assert first == _write_atlas([1, 2], [1, 2], range(2, 8), "json")
 
 
 def test_atlas_csv_header_and_empty_alpha():
-    sink = io.StringIO()
-    write_atlas(atlas_rows([1], [2], [4]), sink, "csv")
-    lines = sink.getvalue().splitlines()
+    lines = _write_atlas([1], [2], [4], "csv").splitlines()
     assert lines[0] == "A,B,m,pure,tail_len,cycle_len,alpha"
     assert lines[1] == "1,2,4,false,2,2,"
 
 
 def test_wss_json_record_shape(pell):
     sink = io.StringIO()
-    write_wss(wss_scan(pell, 14), sink, "json")
+    write_records(map(asdict, wss_scan(pell, 14)), WSS_FIELDS, sink, "json")
     assert sink.getvalue() == '{"A":2,"B":1,"p":13,"k_p":28,"k_p2":28}\n'

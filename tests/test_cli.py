@@ -11,7 +11,7 @@ import pytest
 from lucaslab import identities
 from lucaslab.cli import main
 
-from .conftest import naive_terms
+from .conftest import naive_orbit, naive_terms
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -284,9 +284,16 @@ def test_zero_B_exit_2(capsys):
 
 
 def test_budget_exit_3(capsys):
-    code = main(["cycle", "-A", "1", "-B", "1", "-m", "100000", "--budget", "1000"])
-    capsys.readouterr()
+    # cycle spends no budget: an orbit of 150,000 states is answered by descent.
+    code, out = run_cli(capsys, "cycle", "-A", "1", "-B", "1", "-m", "100000")
+    tail, cyc, _ = naive_orbit(1, 1, 100000)
+    assert code == 0
+    assert json.loads(out) == {"A": 1, "B": 1, "m": 100000, "pure": True, "tail_len": tail,
+                               "cycle_len": cyc}
+    code = main(["zeros", "-A", "1", "-B", "1", "-m", "100000", "--limit", "1001",
+                 "--budget", "1000"])
     assert code == 3
+    assert "needs a walk of 1001 pair states" in capsys.readouterr().err
     code = main(["term", "-A", "1", "-B", "1", "-n", "10000000000", "--budget", "100"])
     capsys.readouterr()
     assert code == 3
@@ -333,7 +340,7 @@ def test_term_past_int_str_limit(capsys):
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_budget_must_be_positive(capsys, value):
     with pytest.raises(SystemExit) as exc:
-        main(["period", "-A", "1", "-B", "1", "-m", "100", "--budget", value])
+        main(["zeros", "-A", "1", "-B", "1", "-m", "100", "--budget", value])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"--budget: expected a positive integer, got '{value}'" in err
@@ -363,6 +370,8 @@ def test_repetition_has_no_limit(capsys):
     "term-mod -A 1 -B 1 -n 5 -m 7", "repetition -A 1 -B 1 --p 3", "power-div -A 1 -B 1 -n 4",
     "div-seq -A 1 -B 1", "identities -A 1 -B 1", "verify", "wss -A 2 -B 1",
     "period-law -A 1 -B 1 --p 2 --e 2", "squares-law -A 2 -B 1 --p 3 --e 2",
+    "period -A 1 -B 1 -m 7", "cycle -A 1 -B 1 -m 7", "rank -A 1 -B 1 -m 7",
+    "atlas --A-range 1 --B-range 1 --m-range 2",
 ])
 def test_budget_only_on_commands_that_read_it(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -420,8 +429,7 @@ CSV_CASES = [
     ("div-seq -A 1 -B -1 --a-max 12 --b-max 36",
      "1,-1,12,36,true,1;2;3;4;5;6;7;8;9;10;11;12,,", 0),
     ("power-div -A 5 -B 4 -n 6 --limit 2", "5,4,6,2,true,", 0),
-    # An over-budget row is still written, and the command exits 3.
-    ("atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 1000", "1,1,1000,,,,", 3),
+    ("atlas --A-range 1 --B-range 1 --m-range 3,1000", "1,1,1000,true,0,1500,750", 0),
 ]
 
 
@@ -434,10 +442,12 @@ def test_csv_cells_byte_exact(capsys, argv, line, expected_code):
 
 
 def test_atlas_json_error_row_keeps_message(capsys):
+    # atlas writes no error rows: the row past the short walk carries its answer.
     code, out = run_cli(capsys, "atlas", "--A-range", "1", "--B-range", "1",
-                        "--m-range", "3,1000", "--budget", "1000")
-    assert code == 3
+                        "--m-range", "3,100000")
+    tail, cyc, alpha = naive_orbit(1, 1, 100000)
+    assert code == 0
     assert json.loads(out.splitlines()[-1]) == {
-        "A": 1, "B": 1, "m": 1000,
-        "error": "modulus 1000 walked 1001 pair states, over the budget of 1000",
+        "A": 1, "B": 1, "m": 100000, "pure": True, "tail_len": tail, "cycle_len": cyc,
+        "alpha": alpha,
     }

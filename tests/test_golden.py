@@ -34,10 +34,10 @@ EDGE_CASES = [
     "lucaslab atlas --A-range 1 --B-range 1 --m-range 1 --format csv",
     # Past CPython's 4,300-digit int-to-str limit.
     "lucaslab term -A 1 -B 1 -n 30000",
-    # Over the state budget.
-    "lucaslab cycle -A 1 -B 1 -m 100000 --budget 1000",
-    # Every atlas row is written, then the over-budget rows give exit 3.
-    "lucaslab atlas --A-range 1 --B-range 1 --m-range 3,1000 --budget 1000",
+    # A cycle of 150,000 states, past the short walk: found by descent.
+    "lucaslab cycle -A 1 -B 1 -m 100000",
+    # Every atlas row carries its answer.
+    "lucaslab atlas --A-range 1 --B-range 1 --m-range 3,1000",
 ]
 
 VERIFY_SHA256 = {

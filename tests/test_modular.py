@@ -31,11 +31,12 @@ from lucaslab.modular import (
     RankReport,
     _bound_primes,
     _least_divisor,
+    _orbit_by_descent,
     _period_multiple,
     _squares_period,
 )
 
-from .conftest import grid_params, naive_pair_orbit, naive_period, naive_terms
+from .conftest import grid_params, naive_orbit, naive_pair_orbit, naive_period, naive_terms
 
 
 # --- companion matrix powers through term_pair ---------------------------------
@@ -130,6 +131,21 @@ def test_least_divisor_refuses_a_bound_that_fails(fib):
         _least_divisor(7, lambda d: term_pair(fib, d, 5) == (0, 1), [7])
 
 
+# The descent on its own, on moduli whose orbits the short walk would take.
+# The examples reach each bound branch: p | B but not A, p | A and B, and a
+# first zero past T = 2*m.bit_length().
+@given(a=st.integers(-30, 30), b=st.integers(-30, 30).filter(lambda x: x != 0),
+       m=st.one_of(st.integers(2, 400), st.sampled_from([2**11, 3**7, 5**5, 6**5, 12**4])))
+@example(a=2, b=3, m=3 * 7 * 8)    # 3 | B, not A: e(n) = 2^(n-1) mod 3, cycle 2, no zero
+@example(a=2, b=2, m=4)            # 2 | A and B: a tail, cycle 1, the zero at 4
+@example(a=6, b=2, m=2**6 * 11)    # alpha(11) = 11, but the first zero is 22, past T = 20
+@example(a=6, b=6, m=6**5)         # every p | m divides A and B
+@example(a=-4, b=-6, m=2**11)      # a 22-state tail, T = 24
+@settings(max_examples=150, deadline=None)
+def test_descent_matches_naive_walk(a, b, m):
+    assert _orbit_by_descent(RecurrenceParams(a, b), m) == naive_orbit(a, b, m)
+
+
 # --- cycle structure and period ----------------------------------------------
 
 def test_cycle_structure_spot_values(fib):
@@ -156,20 +172,21 @@ def test_purity_iff_gcd():
 
 
 def test_cycle_structure_budget():
-    with pytest.raises(BudgetExceededError):
-        cycle_structure(RecurrenceParams(1, 1), 10**5, state_budget=10**5)  # k = 150000
+    # An orbit of 150,000 states, past the short walk, is found by descent.
+    cs = cycle_structure(RecurrenceParams(1, 1), 10**5)
+    assert (cs.tail_len, cs.cycle_len) == naive_pair_orbit(1, 1, 10**5)[:2] == (0, 150000)
 
 
-@pytest.mark.parametrize("a, b, m, states", [(1, 1, 10, 60), (1, 2, 4, 4)])  # pure; tail 2
+# The zero walk takes min(limit, k) states: all 60 of k(10) at limit 60, and
+# 1000 of k(100000) = 150000 at limit 1000.
+@pytest.mark.parametrize("a, b, m, states", [(1, 1, 10, 60), (1, 1, 100000, 1000)])
 def test_walk_budget_counts_states_walked(a, b, m, states):
-    tail, cyc, _ = naive_pair_orbit(a, b, m)
-    assert tail + cyc == states
-    cs = cycle_structure(RecurrenceParams(a, b), m, state_budget=states)
-    assert (cs.tail_len, cs.cycle_len) == (tail, cyc)
+    params = RecurrenceParams(a, b)
+    assert zero_indices_check(params, m, states, state_budget=states).holds
     with pytest.raises(BudgetExceededError,
-                       match=f"^modulus {m} walked {states} pair states, "
+                       match=f"^modulus {m} needs a walk of {states} pair states, "
                              f"over the budget of {states - 1}$"):
-        cycle_structure(RecurrenceParams(a, b), m, state_budget=states - 1)
+        zero_indices_check(params, m, states, state_budget=states - 1)
 
 
 @pytest.mark.parametrize("a, b, m", [
@@ -178,22 +195,31 @@ def test_walk_budget_counts_states_walked(a, b, m, states):
     (1, 2, 2000000014),   # with a tail
 ])
 def test_refused_walk_keeps_no_states(a, b, m):
+    # Orbits far past the short walk: the descent answers, keeping no states.
+    answer = {1000000007: (0, 2 * (m + 1), m + 1),       # (5/p) = -1, so p | e(p + 1)
+              10**20: (0, 15 * m // 10, 75 * m // 100),  # k(10^n) = 15 * 10^(n-1), n > 2
+              2000000014: (1, m // 2 - 1, None)}[m]      # 2 | B, not A: no zero
+    params = RecurrenceParams(a, b)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="walked 50001 pair states"):
-            cycle_structure(RecurrenceParams(a, b), m, state_budget=50000)
+        cs, alpha = cycle_structure(params, m), rank(params, m).alpha
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Keeping each state walked would cost 0.4 MB (8 bytes a state) to 7 MB here.
+    assert (cs.tail_len, cs.cycle_len, alpha) == answer
+    # The cycle and alpha return the orbit to its state at the tail and to a zero.
+    assert term_pair(params, cs.tail_len + cs.cycle_len, m) == term_pair(params, cs.tail_len, m)
+    assert alpha is None or term_mod(params, alpha, m) == 0
+    # Keeping each state walked would cost 8 bytes a state: 8 GB and more here.
     assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("law, args", [
     (_squares_period, (RecurrenceParams(1, 1), 3**9, 52488, [2, 3])),  # 52488 = 2^3 3^8 = k(3^9)
     (zero_indices_check, (RecurrenceParams(1, 1), 5, 10**6)),       # limit far past k = 20
+    (zero_indices_check, (RecurrenceParams(0, 2), 10007, 10**7)),   # a zero every other index
     (cycle_entry_check, (RecurrenceParams(1, 2), 20014)),           # tail 1, cycle 10006
-], ids=["squares_period", "zero_indices", "cycle_entry"])
+], ids=["squares_period", "zero_indices", "zero_indices_dense", "cycle_entry"])
 def test_residue_laws_keep_no_orbit(law, args):
     tracemalloc.start()
     try:
@@ -208,10 +234,11 @@ def test_residue_laws_keep_no_orbit(law, args):
 @pytest.mark.parametrize("a, b, e", [(-12, -10, 2), (-4, -6, 13)])
 def test_longest_tails_are_found(a, b, e):
     # Mod 2^e these tails are 2e states long, the most a tail mod 2^e can be.
-    tail, cyc, _ = naive_pair_orbit(a, b, 2**e)
+    tail, cyc, alpha = naive_orbit(a, b, 2**e)
     assert tail == 2 * e
-    cs = cycle_structure(RecurrenceParams(a, b), 2**e, state_budget=tail + cyc)
+    cs = cycle_structure(RecurrenceParams(a, b), 2**e)
     assert (cs.tail_len, cs.cycle_len) == (tail, cyc)
+    assert _orbit_by_descent(RecurrenceParams(a, b), 2**e) == (tail, cyc, alpha)
 
 
 def test_moduli_past_the_square_guess(fib, pell):
@@ -220,8 +247,9 @@ def test_moduli_past_the_square_guess(fib, pell):
     assert rank(fib, 10007) == RankReport(modulus=10007, alpha=10008, valuation_at_alpha=1)
     report = period_law_report(pell, 101, 3)
     assert report.ladder == ((1, 204), (2, 20604), (3, 2081004)) and report.t == 1
-    # k(10007^2) is past the default budget of a walk; the descent needs none.
+    # k(10007^2) is past the default budget of a walk; the descents need none.
     assert period_law_report(fib, 10007, 2).ladder == ((1, 20016), (2, 200300112))
+    assert period(fib, 10007**2) == 200300112
 
 
 def test_period_spot_values(fib, pell):
