@@ -81,14 +81,17 @@ def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
     """Lazily produce one AtlasRow per triple, in (A, B, m) lexicographic order.
 
     B = 0 is skipped automatically. Every m must be >= 2, checked when the
-    call is made, before any row exists.
+    call is made, before any row exists. A step-1 range stays lazy, so a huge
+    one streams its rows; any other iterable is sorted and deduplicated.
     """
-    m_sorted = sorted(set(m_values))
+    def ascending(values: Iterable[int]) -> range | list[int]:
+        return values if isinstance(values, range) and values.step == 1 else sorted(set(values))
+
+    m_sorted, B_sorted = ascending(m_values), ascending(B_values)
     if m_sorted and m_sorted[0] < 2:
         raise ValueError(f"every modulus must be >= 2, got {m_sorted[0]}")
-    B_sorted = sorted(set(B_values) - {0})
-    return (_atlas_row(A, B, m) for A in sorted(set(A_values))
-            for B in B_sorted for m in m_sorted)
+    return (_atlas_row(A, B, m) for A in ascending(A_values)
+            for B in B_sorted if B for m in m_sorted)
 
 
 def _atlas_row(A: int, B: int, m: int) -> AtlasRow:

@@ -172,13 +172,13 @@ def _cmd_verify(args):
     return recs, ("suite", "case", "holds", "classification", "detail"), 0 if summary.ok else 1
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse '2..5' (inclusive) or '2,3,7' into an integer list."""
+def _parse_range(text: str) -> range | list[int]:
+    """Parse '2..5' (inclusive, kept lazy as a range) or '2,3,7' (a list)."""
     if ".." in text:
         lo, hi = map(int, text.split("..", 1))
         if lo > hi:
             raise ValueError(f"reversed range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 

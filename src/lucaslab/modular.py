@@ -77,105 +77,74 @@ class CycleStructure:
         return self.tail_len == 0
 
 
-def _pair_orbit(params: RecurrenceParams, m: int, state_budget: int) -> tuple[int, int, int | None]:
-    """Walk the pair orbit of (0, 1) mod m up to its first repeated state.
-
-    Returns (tail_len, cycle_len, alpha): the orbit's distinct states number
-    tail_len + cycle_len, and alpha is the least n >= 1 with e(n) = 0 (mod m),
-    or None. An orbit of exactly state_budget states is admitted; one state
-    more raises BudgetExceededError. The walk keeps O(log m) states: a pure
-    orbit (gcd(B, m) = 1) waits for (0, 1) to come back, and a tail is shorter
-    than 2*m.bit_length() (mod p^e the states form a module of length 2e, and
-    the part the step acts on nilpotently dies within 2e steps), so the first
-    repeated state is one of that many kept states.
-    """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    A, B = params.A % m, params.B % m
-    x, y, alpha = 0, 1, None
-    if math.gcd(B, m) == 1:
-        for n in range(1, state_budget + 1):
-            x, y = y, (A * y + B * x) % m
-            if x == 0:
-                alpha = alpha or n
-                if y == 1:
-                    return 0, n, alpha
-    else:
-        kept, seen, key = 2 * m.bit_length(), {}, y
-        for n in range(1, state_budget + 1):
-            if n <= kept:
-                seen[key] = n - 1
-            x, y = y, (A * y + B * x) % m
-            if x == 0 and alpha is None:
-                alpha = n
-            if (key := x * m + y) in seen:
-                tail = seen[key]
-                if tail == 0:
-                    raise RuntimeError(
-                        f"internal invariant broken: tail=0 but gcd(B, m)={math.gcd(params.B, m)}"
-                    )
-                return tail, n - tail, alpha
-    raise BudgetExceededError(
-        f"modulus {m} walked {state_budget + 1} pair states, over the budget of {state_budget}"
-    )
-
-
-def _orbit_by_descent(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
-    """(tail_len, cycle_len, alpha) as _pair_orbit gives them, from O(log m)
-    residue calls and the factors of m, p - 1 and p + 1 for each p | m.
-
-    By Wall's rule the cycle length divides the lcm N, over p^e || m, of
-    _period_multiple(params, p, e) when p does not divide B; of p^(e-1)(p - 1)
-    when p | B but not A (the orbit follows the unit root = A mod p); and of 1
-    when p divides A and B (the orbit dies to (0, 0)). The tail is shorter
-    than T = 2*m.bit_length(), or 0 when gcd(B, m) = 1, so the cycle is the
-    least d | N with pair(T + d) = pair(T). Zeros mod the part u of m prime to
-    B are the multiples of alpha(u) | N(u). A p | B that does not divide A
-    leaves e(n) = A^(n-1) (mod p), never 0; otherwise e(n) = 0 mod m / u for
-    every n past T, so alpha is the first zero up to T or else the least
-    multiple of alpha(u) past T.
-    """
-    A, B = params.A, params.B
-    unit = bound = unit_bound = 1
-    primes: set[int] = set()
-    zero_free = False
-    for p, e in factorint(m).items():
-        primes |= _bound_primes(p)
-        if B % p:
-            unit *= p ** e
-            unit_bound = math.lcm(unit_bound, _period_multiple(params, p, e))
-        elif A % p:
-            zero_free = True
-            bound = math.lcm(bound, p ** (e - 1) * (p - 1))
-    bound = math.lcm(bound, unit_bound)
-    T = 0 if unit == m else 2 * m.bit_length()
-
-    def pair(n: int) -> tuple[int, int]:
-        return term_pair(params, n, m)
-
-    start = pair(T)
-    cycle = _least_divisor(bound, lambda d: pair(T + d) == start, primes)
-    tail = next(t for t in range(T + 1) if pair(t) == pair(t + cycle))
-    if zero_free:
-        return tail, cycle, None
-    alpha = next((n for n in range(1, T + 1) if pair(n)[0] == 0), None)
-    if alpha is None:
-        step = _least_divisor(unit_bound, lambda d: term_pair(params, d, unit)[0] == 0, primes)
-        alpha = (T // step + 1) * step
-    return tail, cycle, alpha
-
-
 SHORT_ORBIT = 2**12
 
 
 def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
-    """(tail_len, cycle_len, alpha) of the pair orbit mod m: walked when it
-    closes within SHORT_ORBIT states, so a short orbit never factors m (a
-    product of two ~10^29 primes would stall factorint), else by descent."""
-    try:
-        return _pair_orbit(params, m, SHORT_ORBIT)
-    except BudgetExceededError:
-        return _orbit_by_descent(params, m)
+    """(tail_len, cycle_len, alpha) of the pair orbit of (0, 1) mod m: its
+    distinct states number tail_len + cycle_len, and alpha is the least n >= 1
+    with e(n) = 0 (mod m), or None.
+
+    The tail is 0 when gcd(B, m) = 1 (the step is invertible), else shorter
+    than T = 2*m.bit_length(): mod p^e the states form a module of length 2e,
+    and the part the step acts on nilpotently dies within 2e steps. So the
+    state at T is on the cycle. A walk of T states, then on until the state
+    at T comes back, gives a cycle of at most SHORT_ORBIT states without
+    factoring m (a product of two ~10^29 primes would stall factorint).
+
+    A longer cycle comes by descent. By Wall's rule it divides the lcm N,
+    over p^e || m, of _period_multiple(params, p, e) when p does not divide
+    B; of p^(e-1)(p - 1) when p | B but not A (the orbit follows the unit
+    root = A mod p); and of 1 when p divides A and B (the orbit dies to
+    (0, 0)). Zeros mod the part u of m prime to B are the multiples of
+    alpha(u) | N(u). A p | B that does not divide A leaves e(n) = A^(n-1)
+    (mod p), never 0; otherwise e(n) = 0 mod m / u for every n past T, so
+    alpha is the first zero walked or else the least multiple of alpha(u)
+    past T. The tail is the least t where pair(t) and pair(t + cycle) meet.
+    """
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    A, B = params.A % m, params.B % m
+    T = 0 if math.gcd(B, m) == 1 else 2 * m.bit_length()
+    x, y, alpha = 0, 1, None
+    for n in range(1, T + 1):
+        x, y = y, (A * y + B * x) % m
+        if x == 0 and alpha is None:
+            alpha = n
+    start = sx, sy = x, y
+    for d in range(1, SHORT_ORBIT + 1):
+        x, y = y, (A * y + B * x) % m
+        if x == 0 and alpha is None:
+            alpha = T + d
+        if x == sx and y == sy:
+            cycle = d
+            break
+    else:
+        unit = bound = unit_bound = 1
+        primes: set[int] = set()
+        zero_free = False
+        for p, e in factorint(m).items():
+            primes |= _bound_primes(p)
+            if B % p:
+                unit *= p ** e
+                unit_bound = math.lcm(unit_bound, _period_multiple(params, p, e))
+            elif A % p:
+                zero_free = True
+                bound = math.lcm(bound, p ** (e - 1) * (p - 1))
+        cycle = _least_divisor(math.lcm(bound, unit_bound),
+                               lambda d: term_pair(params, T + d, m) == start, primes)
+        if alpha is None and not zero_free:
+            step = _least_divisor(unit_bound, lambda d: term_pair(params, d, unit)[0] == 0, primes)
+            alpha = (T // step + 1) * step
+    tail = 0
+    if T:
+        (x, y), (u, v) = (0, 1), term_pair(params, cycle, m)
+        while (x, y) != (u, v) and tail < T:
+            x, y, u, v = y, (A * y + B * x) % m, v, (A * v + B * u) % m
+            tail += 1
+        if not 0 < tail < T:
+            raise RuntimeError(f"internal invariant broken: tail {tail} mod {m} is not in (0, {T})")
+    return tail, cycle, alpha
 
 
 def cycle_structure(params: RecurrenceParams, m: int) -> CycleStructure:

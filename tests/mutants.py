@@ -60,8 +60,10 @@ MUTANTS = (
     Mutant("period multiple drops its p^(e-1) factor", "modular.py",
            "return p ** (e - 1) * (", "return (", MODULAR),
     Mutant("pure orbit step drops B", "modular.py",
-           "(A * y + B * x) % m\n            if x == 0:\n",
-           "(A * y + x) % m\n            if x == 0:\n", MODULAR),
+           "(A * y + B * x) % m\n        if x == 0 and alpha is None:\n            alpha = T + d",
+           "(A * y + x) % m\n        if x == 0 and alpha is None:\n            alpha = T + d", MODULAR),
+    Mutant("cycle walk closes on e(n) alone", "modular.py",
+           "if x == sx and y == sy:", "if x == sx:", MODULAR),
     Mutant("power-div tests modulo e(n)^k", "divisibility.py",
            "term_mod(params, index, e_n ** (k + 1))", "term_mod(params, index, e_n ** k)",
            ("tests/test_divisibility.py",)),
@@ -78,14 +80,18 @@ MUTANTS = (
     Mutant("descent bound at p | B loses its (p - 1)", "modular.py",
            "p ** (e - 1) * (p - 1))", "p ** (e - 1))", MODULAR),
     Mutant("descent takes p | A and B for a zero-free prime", "modular.py",
-           "        elif A % p:\n", "        else:\n", MODULAR),
+           "            elif A % p:\n", "            else:\n", MODULAR),
     Mutant("descent tail bound T is halved", "modular.py",
            "else 2 * m.bit_length()", "else m.bit_length()", MODULAR),
     Mutant("impure alpha skips its scan to T", "modular.py",
-           "alpha = next((n for n in range(1, T + 1) if pair(n)[0] == 0), None)",
-           "alpha = None", MODULAR),
+           "            alpha = n\n", "            pass\n", MODULAR),
     Mutant("impure alpha is not lifted past T", "modular.py",
            "alpha = (T // step + 1) * step", "alpha = step", MODULAR),
+    Mutant("tail scan compares e(t) alone", "modular.py",
+           "while (x, y) != (u, v) and", "while x != u and", MODULAR),
+    Mutant("tail scan starts one index late", "modular.py",
+           "(x, y), (u, v) = (0, 1), term_pair(params, cycle, m)",
+           "(x, y), (u, v) = (1, A), term_pair(params, cycle + 1, m)", MODULAR),
     Mutant("zero walk step drops B", "modular.py",
            "(A * y + B * x) % m\n        if (x == 0)", "(A * y + x) % m\n        if (x == 0)",
            MODULAR),

@@ -75,7 +75,7 @@ def test_wss_scan_walks_no_orbit(monkeypatch, pell):
     def refuse(*args, **kwargs):
         raise AssertionError("wss_scan walked an orbit")
 
-    monkeypatch.setattr(modular, "_pair_orbit", refuse)
+    monkeypatch.setattr(modular, "_orbit", refuse)
     monkeypatch.setattr(atlas, "_orbit", refuse)
     assert [f.p for f in wss_scan(pell, 2000)] == [13, 31]
 

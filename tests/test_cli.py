@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from lucaslab import identities
-from lucaslab.cli import main
+from lucaslab.atlas import atlas_rows
+from lucaslab.cli import _parse_range, main
 
 from .conftest import naive_orbit, naive_terms
 
@@ -320,6 +323,22 @@ def test_atlas_small_modulus_writes_nothing(tmp_path, capsys):
                  "--out", str(target)])
     capsys.readouterr()
     assert code == 2 and target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("ranges, first", [
+    (("1", "1", "2..1000000000000"), [(1, 1, 2), (1, 1, 3), (1, 1, 4)]),
+    (("1..1000000000000", "-1..1000000000000", "2"), [(1, -1, 2), (1, 1, 2), (1, 2, 2)]),
+])
+def test_atlas_huge_range_streams(ranges, first):
+    # A list of every value up to 10^12 would not fit in memory; a range stays lazy.
+    tracemalloc.start()
+    try:
+        rows = list(itertools.islice(atlas_rows(*map(_parse_range, ranges)), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.A, r.B, r.m) for r in rows] == first
+    assert peak < 64 * 1024
 
 
 def test_reversed_range_exit_2(capsys):

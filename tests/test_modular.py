@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,12 +27,13 @@ from lucaslab import (
     term_pair,
     zero_indices_check,
 )
+from lucaslab import modular
 from lucaslab.core import _nu
 from lucaslab.modular import (
     RankReport,
     _bound_primes,
     _least_divisor,
-    _orbit_by_descent,
+    _orbit,
     _period_multiple,
     _squares_period,
 )
@@ -131,6 +133,13 @@ def test_least_divisor_refuses_a_bound_that_fails(fib):
         _least_divisor(7, lambda d: term_pair(fib, d, 5) == (0, 1), [7])
 
 
+def _orbit_at(short_orbit, params, m):
+    """_orbit with SHORT_ORBIT patched: 0 takes every cycle by descent, and a
+    large value walks it. (Hypothesis rejects function-scoped fixtures.)"""
+    with mock.patch.object(modular, "SHORT_ORBIT", short_orbit):
+        return _orbit(params, m)
+
+
 # The descent on its own, on moduli whose orbits the short walk would take.
 # The examples reach each bound branch: p | B but not A, p | A and B, and a
 # first zero past T = 2*m.bit_length().
@@ -143,7 +152,19 @@ def test_least_divisor_refuses_a_bound_that_fails(fib):
 @example(a=-4, b=-6, m=2**11)      # a 22-state tail, T = 24
 @settings(max_examples=150, deadline=None)
 def test_descent_matches_naive_walk(a, b, m):
-    assert _orbit_by_descent(RecurrenceParams(a, b), m) == naive_orbit(a, b, m)
+    assert _orbit_at(0, RecurrenceParams(a, b), m) == naive_orbit(a, b, m)
+
+
+# Walk against descent on cycles past the short walk and past the moduli the
+# naive oracles reach.
+@given(a=st.integers(-30, 30), b=st.integers(-30, 30).filter(lambda x: x != 0),
+       m=st.integers(5000, 200000))
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_descent_past_the_short_walk(a, b, m):
+    params = RecurrenceParams(a, b)
+    walked = _orbit_at(10**6, params, m)
+    assume(4096 < walked[1] <= 10**6)
+    assert _orbit_at(0, params, m) == walked
 
 
 # --- cycle structure and period ----------------------------------------------
@@ -238,7 +259,7 @@ def test_longest_tails_are_found(a, b, e):
     assert tail == 2 * e
     cs = cycle_structure(RecurrenceParams(a, b), 2**e)
     assert (cs.tail_len, cs.cycle_len) == (tail, cyc)
-    assert _orbit_by_descent(RecurrenceParams(a, b), 2**e) == (tail, cyc, alpha)
+    assert _orbit_at(0, RecurrenceParams(a, b), 2**e) == (tail, cyc, alpha)
 
 
 def test_moduli_past_the_square_guess(fib, pell):
