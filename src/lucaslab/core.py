@@ -168,8 +168,12 @@ def _nu(x: int, p: int) -> int | float:
     return k
 
 
-def valuation(x: int, p: int) -> int | float:
-    """Largest k with p^k | x; math.inf for x = 0. Rejects composite p."""
+def _require_prime(p: int) -> None:
     if not isprime(p):
         raise ValueError(f"p must be prime, got {p}")
+
+
+def valuation(x: int, p: int) -> int | float:
+    """Largest k with p^k | x; math.inf for x = 0. Rejects composite p."""
+    _require_prime(p)
     return _nu(x, p)

@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from sympy import factorint, isprime
+from sympy import factorint
 
 from .core import (
     DEFAULT_DIGIT_BUDGET,
     RecurrenceParams,
     _nu,
+    _require_prime,
     check_term_budget,
     term,
     term_pair,
@@ -27,8 +28,7 @@ from .modular import (
     _bound_primes,
     _least_divisor,
     _period_multiple,
-    _rank_valuation,
-    _residue_valuation,
+    _term_valuation,
     term_mod,
 )
 
@@ -58,8 +58,7 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
     DegenerateSequenceError if e(alpha) is exactly zero (infinite valuation;
     the law is vacuous there).
     """
-    if not isprime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _require_prime(p)
     _require_coprime(params)
     if params.B % p == 0:
         raise ValueError(f"p = {p} divides B = {params.B}; the law assumes p does not divide B")
@@ -67,7 +66,7 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
     # Zeros mod p sit exactly at the multiples of alpha, and alpha | k(p).
     n, primes = _period_multiple(params, p), _bound_primes(p)  # primes also holds p
     alpha = _least_divisor(n, lambda d: term_mod(params, d, p) == 0, primes)
-    base_val = _rank_valuation(params, alpha, p)
+    base_val = _term_valuation(params, alpha, p)
     if base_val == math.inf:
         raise DegenerateSequenceError(
             f"e({alpha}) = 0 exactly for {params}; prime-power repetition is vacuous"
@@ -79,7 +78,7 @@ def repetition_law_check(params: RecurrenceParams, p: int) -> RepetitionLawRepor
                               primes)
     # e(alpha) | e(p*alpha), and a coprime family with a finite valuation at
     # alpha is nondegenerate, so e(p*alpha) != 0 and the valuation is finite.
-    val_at_pn = _residue_valuation(params, p * alpha, p, base_val)
+    val_at_pn = _term_valuation(params, p * alpha, p, base_val)
     holds = observed == p * alpha and val_at_pn == base_val + 1
     return RepetitionLawReport(
         p=p,
@@ -175,17 +174,19 @@ def divisibility_sequence_check(params: RecurrenceParams, a_max: int,
     _require_coprime(params)
     if a_max < 1 or b_max < 1:
         raise ValueError("a_max and b_max must be positive")
-    values = terms(params, max(a_max, b_max))
+    values = terms(params, a_max)
     degenerate = tuple(a for a in range(1, a_max + 1) if abs(values[a]) <= 1)
     counterexamples = []
     for a in range(1, a_max + 1):
         e_a = values[a]
         if abs(e_a) <= 1:
             continue
+        x, y = 0, 1  # (e(b - 1), e(b)) mod e(a), from b = 1
         for b in range(1, b_max + 1):
-            if (values[b] % e_a == 0) != (b % a == 0):
+            if (y == 0) != (b % a == 0):
                 d = math.gcd(a, b)
                 counterexamples.append((a, b, d, e_a, values[d]))
+            x, y = y, (params.A * y + params.B * x) % e_a
     collisions = tuple(sorted({a for a, *_ in counterexamples}))
     return SequenceDivisibilityCheck(holds=not counterexamples,
                                      counterexamples=tuple(counterexamples),

@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from sympy import factorint, isprime, perfect_power
 
-from .core import RecurrenceParams, _nu, term, term_pair
+from .core import RecurrenceParams, _nu, _require_prime, term, term_pair
 from .errors import BudgetExceededError, NoPurePeriodError
 
 DEFAULT_STATE_BUDGET = 10**8
@@ -97,7 +97,7 @@ def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
     B; of p^(e-1)(p - 1) when p | B but not A (the orbit follows the unit
     root = A mod p); and of 1 when p divides A and B (the orbit dies to
     (0, 0)). Zeros mod the part u of m prime to B are the multiples of
-    alpha(u) | N(u). A p | B that does not divide A leaves e(n) = A^(n-1)
+    alpha(u) | k(u) | cycle. A p | B not dividing A leaves e(n) = A^(n-1)
     (mod p), never 0; otherwise e(n) = 0 mod m / u for every n past T, so
     alpha is the first zero walked or else the least multiple of alpha(u)
     past T. The tail is the least t where pair(t) and pair(t + cycle) meet.
@@ -120,21 +120,20 @@ def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
             cycle = d
             break
     else:
-        unit = bound = unit_bound = 1
+        unit = bound = 1
         primes: set[int] = set()
         zero_free = False
         for p, e in factorint(m).items():
             primes |= _bound_primes(p)
             if B % p:
                 unit *= p ** e
-                unit_bound = math.lcm(unit_bound, _period_multiple(params, p, e))
+                bound = math.lcm(bound, _period_multiple(params, p, e))
             elif A % p:
                 zero_free = True
                 bound = math.lcm(bound, p ** (e - 1) * (p - 1))
-        cycle = _least_divisor(math.lcm(bound, unit_bound),
-                               lambda d: term_pair(params, T + d, m) == start, primes)
+        cycle = _least_divisor(bound, lambda d: term_pair(params, T + d, m) == start, primes)
         if alpha is None and not zero_free:
-            step = _least_divisor(unit_bound, lambda d: term_pair(params, d, unit)[0] == 0, primes)
+            step = _least_divisor(cycle, lambda d: term_pair(params, d, unit)[0] == 0, primes)
             alpha = (T // step + 1) * step
     tail = 0
     if T:
@@ -188,24 +187,19 @@ def rank(params: RecurrenceParams, m: int) -> RankReport:
     val = None
     if alpha is not None:
         p, e = perfect_power(m) or (m, 1)  # m is a prime power exactly when this p is prime
-        val = _rank_valuation(params, alpha, p, e) if isprime(p) else None
+        val = _term_valuation(params, alpha, p, e) if isprime(p) else None
     return RankReport(modulus=m, alpha=alpha, valuation_at_alpha=val)
 
 
-def _residue_valuation(params: RecurrenceParams, n: int, p: int, v: int) -> int:
-    """nu_p(e(n)) for a nonzero e(n) that p^v divides, by residues mod p^(v+1), p^(v+2), ..."""
+def _term_valuation(params: RecurrenceParams, n: int, p: int, v: int = 1) -> int | float:
+    """nu_p(e(n)) for an n >= 1 with p^v | e(n), math.inf if e(n) = 0. An exact zero
+    e(n) = 0 with n >= 1 needs a root ratio of order n in a quadratic field, so n is
+    2, 3, 4 or 6; past 6 the residues mod p^(v+1), p^(v+2), ... decide."""
+    if n <= 6:
+        return _nu(term(params, n), p)
     while term_mod(params, n, p ** (v + 1)) == 0:
         v += 1
     return v
-
-
-def _rank_valuation(params: RecurrenceParams, alpha: int, p: int, v: int = 1) -> int | float:
-    """nu_p(e(alpha)) for an alpha with p^v | e(alpha); math.inf if e(alpha) = 0.
-
-    An exact zero e(n) = 0 with n >= 1 needs a root ratio of order n in a
-    quadratic field, so n is 2, 3, 4 or 6; past 6 the residues decide.
-    """
-    return _nu(term(params, alpha), p) if alpha <= 6 else _residue_valuation(params, alpha, p, v)
 
 
 @dataclass(frozen=True)
@@ -273,8 +267,7 @@ def _ladder_report(params: RecurrenceParams, p: int, e_max: int,
                    rung: Callable[[int, int, set[int]], int]) -> PeriodLawReport:
     """Build the ladder (e, rung(p^e, n, primes)) for e = 1..e_max, where n is
     _period_multiple(params, p, e) and primes hold its primes, and judge the scaling law."""
-    if not isprime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _require_prime(p)
     if params.B % p == 0:
         raise ValueError(f"p = {p} divides B = {params.B}; no pure periods mod p^e")
     if e_max < 1:

@@ -88,14 +88,6 @@ class VerifyConfig:
         return [p for p in self.grid() if p.coprime_AB]
 
 
-_CONFIG_KEYS = {
-    "A_min": ("a_min", int),
-    "A_max": ("a_max", int),
-    "B_min": ("b_min", int),
-    "B_max": ("b_max", int),
-}
-
-
 def parse_config(text: str) -> VerifyConfig:
     """Parse the flat key = value config format (\"#\" comments, blank lines ok)."""
     values: dict = {}
@@ -120,10 +112,9 @@ def parse_config(text: str) -> VerifyConfig:
                 if unknown:
                     raise ValueError(f"config line {lineno}: unknown suites {unknown}")
                 values["suites"] = names
-        elif key in _CONFIG_KEYS:
-            attr, conv = _CONFIG_KEYS[key]
+        elif key in ("A_min", "A_max", "B_min", "B_max"):
             try:
-                values[attr] = conv(val)
+                values[key.lower()] = int(val)
             except ValueError as exc:
                 raise ValueError(f"config line {lineno}: bad value for {key}: {val!r}") from exc
         else:
@@ -416,7 +407,7 @@ def _suite_trailing_zeros(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
         try:
             for base in (2, 10):
-                assert trailing_zeros_report(params, base, 200).max_ratio >= 0.0
+                trailing_zeros_report(params, base, 200)
         except RuntimeError as exc:
             return exc
         return None

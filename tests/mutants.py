@@ -97,6 +97,13 @@ MUTANTS = (
            MODULAR),
     Mutant("no short walk: every orbit is factored", "modular.py",
            "SHORT_ORBIT = 2**12", "SHORT_ORBIT = 0", MODULAR),
+    Mutant("valuation climbs two rungs a step", "modular.py",
+           "        v += 1\n", "        v += 2\n", ("tests/test_divisibility.py",) + MODULAR),
+    Mutant("unit alpha descends modulo m, not its unit part", "modular.py",
+           "term_pair(params, d, unit)[0] == 0", "term_pair(params, d, m)[0] == 0", MODULAR),
+    Mutant("prime check passes composites", "core.py",
+           "    if not isprime(p):\n", "    if False:\n",
+           ("tests/test_divisibility.py",) + MODULAR),
 )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -302,6 +303,30 @@ def test_divisibility_sequence_collision_family_set():
 def test_divisibility_sequence_requires_coprime():
     with pytest.raises(ValueError):
         divisibility_sequence_check(RecurrenceParams(2, 4), 10, 20)
+
+
+@given(ab=st.sampled_from(COPRIME_PAIRS), a_max=st.integers(1, 20), b_max=st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_divisibility_sequence_matches_exact_terms(ab, a_max, b_max):
+    e = naive_terms(*ab, max(a_max, b_max))
+    chk = divisibility_sequence_check(RecurrenceParams(*ab), a_max, b_max)
+    expected = tuple((a, b, math.gcd(a, b), e[a], e[math.gcd(a, b)])
+                     for a in range(1, a_max + 1) if abs(e[a]) > 1
+                     for b in range(1, b_max + 1) if (e[b] % e[a] == 0) != (b % a == 0))
+    assert chk.counterexamples == expected and chk.holds == (not expected)
+    assert chk.degenerate == tuple(a for a in range(1, a_max + 1) if abs(e[a]) <= 1)
+
+
+def test_divisibility_sequence_builds_terms_only_to_a_max(fib):
+    # e(10^6) has ~209,000 digits; each b is one step of the pair mod e(a).
+    tracemalloc.start()
+    try:
+        chk = divisibility_sequence_check(fib, 3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chk.holds and chk.degenerate == (1, 2)
+    assert peak < 64 * 1024
 
 
 # --- trailing zeros -----------------------------------------------------------

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -241,3 +244,21 @@ def test_suite_violation_branches(monkeypatch, suite, law, fake, pair, case, cla
     records, _ = run_verification(cfg)
     assert {r.case: r for r in records}[case] == CheckRecord(suite, case, False, classification,
                                                              detail)
+
+
+def test_trailing_zeros_suite_runs_under_optimize():
+    # Under -O an assert around the sweep would vanish, and every case would
+    # pass without one.
+    code = textwrap.dedent("""
+        import json
+        from unittest import mock
+        from lucaslab import verify
+        def fail(*args):
+            raise RuntimeError("boom")
+        with mock.patch.object(verify, "trailing_zeros_report", fail):
+            records = list(verify.SUITES["trailing_zeros"](verify.VerifyConfig()))
+        print(json.dumps([[r.classification, r.detail] for r in records]))
+    """)
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [["fail", "strip/valuation cross-check failed: boom"]] * 110
