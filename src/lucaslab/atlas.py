@@ -28,14 +28,23 @@ class WssFinding:
     k_p2: int
 
 
+SIEVE_SEGMENT = 2**18
+
+
 def _primes_upto(n: int) -> Iterator[int]:
-    """The primes p <= n in ascending order, from a sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
-    return itertools.compress(range(n + 1), sieve)
+    """The primes p <= n in ascending order, from a segmented sieve of Eratosthenes.
+
+    The primes up to isqrt(n) come from a recursive call and cross out each
+    segment of SIEVE_SEGMENT integers in turn: O(sqrt(n) + SIEVE_SEGMENT) memory.
+    """
+    base = list(_primes_upto(math.isqrt(n))) if n >= 4 else []
+    for lo in range(2, n + 1, SIEVE_SEGMENT):
+        hi = min(lo + SIEVE_SEGMENT, n + 1)
+        sieve = bytearray([1]) * (hi - lo)
+        for p in base:
+            start = max(p * p, -(-lo // p) * p)
+            sieve[start - lo::p] = bytes(len(range(start, hi, p)))
+        yield from itertools.compress(range(lo, hi), sieve)
 
 
 def wss_scan(params: RecurrenceParams, p_max: int) -> list[WssFinding]:

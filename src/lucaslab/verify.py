@@ -213,10 +213,15 @@ def _suite_companion_recurrence(config: VerifyConfig) -> Iterator[CheckRecord]:
 
 def _suite_recurrence_space(config: VerifyConfig) -> Iterator[CheckRecord]:
     def probe(params):
+        # w(n) = r*e(n+p) + s*e(n+q) has residual w(n) - A*w(n-1) - B*w(n-2)
+        # = r*res[p][n] + s*res[q][n] exactly, so six residual vectors decide
+        # every combination.
         e = terms(params, 36)
+        res = [[e[n] - params.A * e[n - 1] - params.B * e[n - 2] for n in range(k + 2, k + 31)]
+               for k in range(6)]
         for r, s, p_shift, q_shift in product(range(-3, 4), range(-3, 4), range(6), range(6)):
-            w = [r * e[n + p_shift] + s * e[n + q_shift] for n in range(31)]
-            if any(w[n] != params.A * w[n - 1] + params.B * w[n - 2] for n in range(2, 31)):
+            x, y = res[p_shift], res[q_shift]
+            if (any(x) or any(y)) and any(r * a + s * b for a, b in zip(x, y)):
                 return r, s, p_shift, q_shift
         return None
     return _sweep("recurrence_space", config.grid(), probe,

@@ -104,6 +104,12 @@ MUTANTS = (
     Mutant("prime check passes composites", "core.py",
            "    if not isprime(p):\n", "    if False:\n",
            ("tests/test_divisibility.py",) + MODULAR),
+    Mutant("residual skip ignores shift q", "verify.py",
+           "(any(x) or any(y))", "any(x)", ("tests/test_verify.py",)),
+    Mutant("residual drops the B term", "verify.py",
+           " - params.B * e[n - 2]", "", ("tests/test_verify.py",)),
+    Mutant("sieve starts each segment at p, not p*p", "atlas.py",
+           "max(p * p, ", "max(p, ", ("tests/test_atlas.py",)),
 )
 
 

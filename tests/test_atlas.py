@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import io
+import itertools
+import math
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
 from sympy import factorint
 
 from lucaslab import RecurrenceParams, atlas, atlas_rows, modular, term, term_pair, wss_scan
-from lucaslab.atlas import ATLAS_FIELDS, WSS_FIELDS, atlas_row_obj, write_records
+from lucaslab.atlas import (ATLAS_FIELDS, SIEVE_SEGMENT, WSS_FIELDS, _primes_upto, atlas_row_obj,
+                            write_records)
 
 from .conftest import naive_orbit, naive_period
 
@@ -51,6 +55,35 @@ def test_wss_prefix_consistency(pell):
 def test_wss_rejects_bad_bound(fib):
     with pytest.raises(ValueError):
         wss_scan(fib, 1)
+
+
+def _naive_primes(n):
+    """One unsegmented sieve of Eratosthenes over 0..n."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def test_primes_upto_matches_plain_sieve():
+    # Segments start at 2, so SIEVE_SEGMENT + 1 ends the first one.
+    for n in [*range(300), *(SIEVE_SEGMENT + d for d in range(-1, 4)), 3 * SIEVE_SEGMENT + 7]:
+        assert list(_primes_upto(n)) == _naive_primes(n), n
+
+
+def test_primes_upto_huge_limit_streams():
+    # A flag per integer up to 3*10^9 would not fit in memory; the sieve holds
+    # the ~5,700 primes up to its square root and one segment.
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(_primes_upto(3 * 10**9), 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [2, 3, 5, 7, 11]
+    assert peak < 2**20
 
 
 def test_wss_scan_matches_naive_walk():

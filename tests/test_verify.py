@@ -6,12 +6,18 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lucaslab import VerifyConfig, parse_config, run_verification, verify
+from lucaslab import RecurrenceParams, VerifyConfig, parse_config, run_verification, verify
 from lucaslab.cli import main
 from lucaslab.verify import SUITES, CheckRecord
+
+from .conftest import naive_terms
 
 
 def test_parse_config_full():
@@ -244,6 +250,53 @@ def test_suite_violation_branches(monkeypatch, suite, law, fake, pair, case, cla
     records, _ = run_verification(cfg)
     assert {r.case: r for r in records}[case] == CheckRecord(suite, case, False, classification,
                                                              detail)
+
+
+def _brute_recurrence_space(params, e):
+    """The first (r, s, p, q) whose rebuilt w(n) = r*e(n+p) + s*e(n+q) escapes, n <= 30."""
+    for r, s, p_shift, q_shift in product(range(-3, 4), range(-3, 4), range(6), range(6)):
+        w = [r * e[n + p_shift] + s * e[n + q_shift] for n in range(31)]
+        if any(w[n] != params.A * w[n - 1] + params.B * w[n - 2] for n in range(2, 31)):
+            return r, s, p_shift, q_shift
+    return None
+
+
+def _recurrence_space_record(A, B, e):
+    cfg = VerifyConfig(a_min=A, a_max=A, b_min=B, b_max=B, suites=("recurrence_space",))
+    with mock.patch.object(verify, "terms", lambda params, count: list(e)):
+        (record,) = run_verification(cfg)[0]
+    return record
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=st.integers(-4, 4), B=st.integers(-4, 4).filter(bool),
+       edits=st.lists(st.tuples(st.integers(0, 36), st.integers(-10**6, 10**6).filter(bool)),
+                      max_size=3))
+@example(A=2, B=-1, edits=[(30, 1)])
+@example(A=1, B=1, edits=[])
+def test_recurrence_space_matches_rebuilt_combinations(A, B, edits):
+    # Corrupted terms must reach the fail branch with the same first escape
+    # as rebuilding every combination and re-checking the recurrence.
+    e = naive_terms(A, B, 36)
+    for index, delta in edits:
+        e[index] += delta
+    escape = _brute_recurrence_space(RecurrenceParams(A, B), e)
+    detail = ("R, S in [-3, 3], shifts <= 5, n <= 30" if escape is None
+              else f"combination {escape} escapes the recurrence")
+    assert _recurrence_space_record(A, B, e) == CheckRecord(
+        "recurrence_space", f"(A={A}, B={B})", escape is None,
+        "pass" if escape is None else "fail", detail)
+
+
+def test_recurrence_space_last_term_corrupted():
+    # Only e(35) is off, so only the shift-5 residual is non-zero: the first
+    # escape pairs the clean shift 0 with shift 5.
+    e = naive_terms(1, 1, 36)
+    e[35] += 1
+    assert _brute_recurrence_space(RecurrenceParams(1, 1), e) == (-3, -3, 0, 5)
+    record = _recurrence_space_record(1, 1, e)
+    assert (record.classification, record.detail) == (
+        "fail", "combination (-3, -3, 0, 5) escapes the recurrence")
 
 
 def test_trailing_zeros_suite_runs_under_optimize():
