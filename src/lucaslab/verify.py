@@ -1,7 +1,8 @@
 """The full property-verification engine behind the `verify` subcommand.
 
-A suite is a probe plus `_sweep`: the probe tests one case, an (A, B) pair
-or a (pair, p) case, and returns None when the law held or the violation it
+A suite is a probe plus `_sweep`, declared once by `_suite(name, cases, ok,
+fail)` above the probe: the probe tests one case, an (A, B) pair or a
+(pair, p) case, and returns None when the law held or the violation it
 found; `_sweep` runs it over the configured grid and turns each answer into
 one record. A probe returns a `Verdict` only for a case it classifies itself:
 a known exception, or a pass whose detail depends on the data.
@@ -111,6 +112,9 @@ def parse_config(text: str) -> VerifyConfig:
                 unknown = [n for n in names if n not in SUITES]
                 if unknown:
                     raise ValueError(f"config line {lineno}: unknown suites {unknown}")
+                twice = next((n for i, n in enumerate(names) if n in names[:i]), None)
+                if twice:
+                    raise ValueError(f"config line {lineno}: suite {twice!r} is named twice")
                 values["suites"] = names
         elif key in ("A_min", "A_max", "B_min", "B_max"):
             try:
@@ -181,303 +185,264 @@ def _moduli(params: RecurrenceParams, m_max: int, unit: bool) -> list[int]:
     return [m for m in range(2, m_max + 1) if (math.gcd(params.B, m) == 1) == unit]
 
 
+SUITES: dict[str, Callable[[VerifyConfig], Iterator[CheckRecord]]] = {}
+
+
+def _suite(name: str, cases: Callable[[VerifyConfig], Iterable], ok: str | None, fail: str):
+    """Register probe as suite name: SUITES[name](config) sweeps it over cases(config).
+
+    Returns the probe unchanged. SUITES keeps definition order, which is the
+    record order of a full run.
+    """
+    def register(probe: Callable[..., object]) -> Callable[..., object]:
+        SUITES[name] = lambda config: _sweep(name, cases(config), probe, ok, fail)
+        return probe
+    return register
+
+
 # --- exact-arithmetic suites -------------------------------------------------
 
-def _suite_addition_identity(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        e = terms(params, 81)
-        return next(((n, t) for n, t in product(range(41), range(1, 41))
-                     if e[n + t] != e[n + 1] * e[t] + params.B * e[n] * e[t - 1]), None)
-    return _sweep("addition_identity", config.grid(), probe,
-                  "1640 (n, t) cases, exact", "first violation at (n, t) = {}")
+@_suite("addition_identity", VerifyConfig.grid,
+        "1640 (n, t) cases, exact", "first violation at (n, t) = {}")
+def _addition_identity(params):
+    e = terms(params, 81)
+    return next(((n, t) for n, t in product(range(41), range(1, 41))
+                 if e[n + t] != e[n + 1] * e[t] + params.B * e[n] * e[t - 1]), None)
 
 
-def _suite_doubling_consistency(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        e = terms(params, 65)
-        return next((n for n in range(65) if term_pair(params, n) != (e[n], e[n + 1])), None)
-    return _sweep("doubling_consistency", config.grid(), probe,
-                  "n <= 64 agrees with iteration", "pair mismatch at n = {}")
+@_suite("doubling_consistency", VerifyConfig.grid,
+        "n <= 64 agrees with iteration", "pair mismatch at n = {}")
+def _doubling_consistency(params):
+    e = terms(params, 65)
+    return next((n for n in range(65) if term_pair(params, n) != (e[n], e[n + 1])), None)
 
 
-def _suite_companion_recurrence(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        v = [companion(params, n) for n in range(41)]
-        ok = v[0] == 2 and v[1] == params.A and all(
-            v[n] == params.A * v[n - 1] + params.B * v[n - 2] for n in range(2, 41))
-        return None if ok else v[:6]
-    return _sweep("companion_recurrence", config.grid(), probe,
-                  "seeds (2, A) and recurrence hold to n = 40",
-                  "companion sequence broken: {}...")
+@_suite("companion_recurrence", VerifyConfig.grid,
+        "seeds (2, A) and recurrence hold to n = 40", "companion sequence broken: {}...")
+def _companion_recurrence(params):
+    v = [companion(params, n) for n in range(41)]
+    ok = v[0] == 2 and v[1] == params.A and all(
+        v[n] == params.A * v[n - 1] + params.B * v[n - 2] for n in range(2, 41))
+    return None if ok else v[:6]
 
 
-def _suite_recurrence_space(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        # w(n) = r*e(n+p) + s*e(n+q) has residual w(n) - A*w(n-1) - B*w(n-2)
-        # = r*res[p][n] + s*res[q][n] exactly, so six residual vectors decide
-        # every combination.
-        e = terms(params, 36)
-        res = [[e[n] - params.A * e[n - 1] - params.B * e[n - 2] for n in range(k + 2, k + 31)]
-               for k in range(6)]
-        for r, s, p_shift, q_shift in product(range(-3, 4), range(-3, 4), range(6), range(6)):
-            x, y = res[p_shift], res[q_shift]
-            if (any(x) or any(y)) and any(r * a + s * b for a, b in zip(x, y)):
-                return r, s, p_shift, q_shift
-        return None
-    return _sweep("recurrence_space", config.grid(), probe,
-                  "R, S in [-3, 3], shifts <= 5, n <= 30",
-                  "combination {} escapes the recurrence")
+@_suite("recurrence_space", VerifyConfig.grid,
+        "R, S in [-3, 3], shifts <= 5, n <= 30", "combination {} escapes the recurrence")
+def _recurrence_space(params):
+    # w(n) = r*e(n+p) + s*e(n+q) has residual w(n) - A*w(n-1) - B*w(n-2)
+    # = r*res[p][n] + s*res[q][n] exactly, so six residual vectors decide
+    # every combination.
+    e = terms(params, 36)
+    res = [[e[n] - params.A * e[n - 1] - params.B * e[n - 2] for n in range(k + 2, k + 31)]
+           for k in range(6)]
+    for r, s, p_shift, q_shift in product(range(-3, 4), range(-3, 4), range(6), range(6)):
+        x, y = res[p_shift], res[q_shift]
+        if (any(x) or any(y)) and any(r * a + s * b for a, b in zip(x, y)):
+            return r, s, p_shift, q_shift
+    return None
 
 
-def _suite_seeded_combination(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        for w0, w1 in product(range(-3, 4), repeat=2):
-            prev, cur = w0, w1
-            for n in range(41):
-                if seeded_term(params, w0, w1, n) != prev:
-                    return w0, w1, n
-                prev, cur = cur, params.A * cur + params.B * prev
-        return None
-    return _sweep("seeded_combination", config.grid(), probe,
-                  "w0, w1 in [-3, 3], n <= 40", "seeded term disagrees with iteration at {}")
+@_suite("seeded_combination", VerifyConfig.grid,
+        "w0, w1 in [-3, 3], n <= 40", "seeded term disagrees with iteration at {}")
+def _seeded_combination(params):
+    for w0, w1 in product(range(-3, 4), repeat=2):
+        prev, cur = w0, w1
+        for n in range(41):
+            if seeded_term(params, w0, w1, n) != prev:
+                return w0, w1, n
+            prev, cur = cur, params.A * cur + params.B * prev
+    return None
 
 
-def _suite_cassini_sign_law(config: VerifyConfig) -> Iterator[CheckRecord]:
-    return _sweep("cassini_sign_law", config.grid(), cassini_sign_violation,
-                  "e(n+1)e(n-1) - e(n)^2 = (-1)^n B^(n-1), n <= 40", "sign law broken at n = {}")
-
-
-def _suite_multiplication_formula(config: VerifyConfig) -> Iterator[CheckRecord]:
-    return _sweep("multiplication_formula", config.grid(), multiplication_formula_violation,
-                  "a <= 8, n <= 12, exact", "expansion fails at (a, n) = {}")
-
-
-def _suite_gcd_companion(config: VerifyConfig) -> Iterator[CheckRecord]:
-    return _sweep("gcd_companion", config.coprime_grid(), gcd_companion_violation,
-                  "gcd(v(n), e(n)) in {1, 2} for n <= 30", "gcd outside {{1, 2}} at n = {}")
+_suite("cassini_sign_law", VerifyConfig.grid,
+       "e(n+1)e(n-1) - e(n)^2 = (-1)^n B^(n-1), n <= 40",
+       "sign law broken at n = {}")(cassini_sign_violation)
+_suite("multiplication_formula", VerifyConfig.grid,
+       "a <= 8, n <= 12, exact", "expansion fails at (a, n) = {}")(multiplication_formula_violation)
+_suite("gcd_companion", VerifyConfig.coprime_grid,
+       "gcd(v(n), e(n)) in {1, 2} for n <= 30",
+       "gcd outside {{1, 2}} at n = {}")(gcd_companion_violation)
 
 
 # --- modular suites ----------------------------------------------------------
 
-def _suite_term_mod_agreement(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        e = terms(params, 200)
-        return next(((n, m) for m in range(2, 51) for n in range(201)
-                     if term_mod(params, n, m) != e[n] % m), None)
-    return _sweep("term_mod_agreement", config.grid(), probe,
-                  "doubling path = exact path mod m, n <= 200, m <= 50",
-                  "mismatch at (n, m) = {}")
+@_suite("term_mod_agreement", VerifyConfig.grid,
+        "doubling path = exact path mod m, n <= 200, m <= 50", "mismatch at (n, m) = {}")
+def _term_mod_agreement(params):
+    e = terms(params, 200)
+    return next(((n, m) for m in range(2, 51) for n in range(201)
+                 if term_mod(params, n, m) != e[n] % m), None)
 
 
-def _suite_purity_gcd_law(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        return next((m for m in range(2, 101)
-                     if cycle_structure(params, m).pure
-                     != (math.gcd(params.B, m) == 1)), None)
-    return _sweep("purity_gcd_law", config.grid(), probe,
-                  "pure <=> gcd(B, m) = 1 for m <= 100", "purity mismatch at m = {}")
+@_suite("purity_gcd_law", VerifyConfig.grid,
+        "pure <=> gcd(B, m) = 1 for m <= 100", "purity mismatch at m = {}")
+def _purity_gcd_law(params):
+    # The kernel, not the orbit's tail, decides purity: one cycle from (0, 1)
+    # comes back to (0, 1) exactly when the orbit has no tail.
+    return next((m for m in range(2, 101)
+                 if (term_pair(params, cycle_structure(params, m).cycle_len, m) == (0, 1))
+                 != (math.gcd(params.B, m) == 1)), None)
 
 
-def _suite_period_zero_alignment(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        for m in _moduli(params, 50, True):
-            k = period(params, m)
-            cs = cycle_structure(params, m)
-            rr = rank(params, m)
-            if k != cs.cycle_len or rr.alpha is None or k % rr.alpha != 0:
-                return m, k, cs.cycle_len, rr.alpha
-        return None
-    return _sweep("period_zero_alignment", config.grid(), probe,
-                  "period = cycle length and alpha | period, m <= 50", "misalignment {}")
+@_suite("period_zero_alignment", VerifyConfig.grid,
+        "period = cycle length and alpha | period, m <= 50", "misalignment {}")
+def _period_zero_alignment(params):
+    # The kernel checks the orbit's answers: e(k), e(k+1) = 0, 1 and e(alpha) = 0.
+    for m in _moduli(params, 50, True):
+        k = period(params, m)
+        pair = term_pair(params, k, m)
+        alpha = rank(params, m).alpha
+        if (pair != (0, 1) or alpha is None or k % alpha != 0
+                or term_mod(params, alpha, m) != 0):
+            return m, k, pair, alpha
+    return None
 
 
-def _suite_zero_index_progression(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        for m in _moduli(params, 50, True):
-            chk = zero_indices_check(params, m, 4 * m * m)  # k < m^2: over 4 periods
-            if not chk.holds:
-                return m, chk.first_violation
-        return None
-    return _sweep("zero_index_progression", config.grid(), probe,
-                  "zeros = multiples of alpha over 4 periods, m <= 50",
-                  "progression broken at (m, index) = {}")
+@_suite("zero_index_progression", VerifyConfig.grid,
+        "zeros = multiples of alpha over 4 periods, m <= 50",
+        "progression broken at (m, index) = {}")
+def _zero_index_progression(params):
+    for m in _moduli(params, 50, True):
+        chk = zero_indices_check(params, m, 4 * m * m)  # k < m^2: over 4 periods
+        if not chk.holds:
+            return m, chk.first_violation
+    return None
 
 
-def _suite_period_ladder(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params, p):
-        rep = period_law_report(params, p, 3)
-        if not all(k2 % k1 == 0 and k2 // k1 in (1, p)
-                   for (_, k1), (_, k2) in zip(rep.ladder, rep.ladder[1:])):
-            return f"ladder not monotone: {rep.ladder}"
-        if rep.law_holds:
-            return Verdict("pass", f"ladder {list(rep.ladder)}, t={rep.t}")
-        if p == 2:
-            return Verdict("known-exception",
-                           f"2-adic scaling anomaly: ladder {list(rep.ladder)}, t={rep.t}")
-        return f"scaling law fails: ladder {list(rep.ladder)}"
-    return _sweep("period_ladder", _prime_cases(config.grid(), LADDER_PRIMES), probe, None, "{}")
+@_suite("period_ladder", lambda config: _prime_cases(config.grid(), LADDER_PRIMES), None, "{}")
+def _period_ladder(params, p):
+    rep = period_law_report(params, p, 3)
+    if not all(k2 % k1 == 0 and k2 // k1 in (1, p)
+               for (_, k1), (_, k2) in zip(rep.ladder, rep.ladder[1:])):
+        return f"ladder not monotone: {rep.ladder}"
+    if rep.law_holds:
+        return Verdict("pass", f"ladder {list(rep.ladder)}, t={rep.t}")
+    if p == 2:
+        return Verdict("known-exception",
+                       f"2-adic scaling anomaly: ladder {list(rep.ladder)}, t={rep.t}")
+    return f"scaling law fails: ladder {list(rep.ladder)}"
 
 
-def _suite_squares_period(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params, p):
-        sq = squares_period_law_report(params, p, 2)
-        pair = period_law_report(params, p, 2)
-        if not all(kp % kq == 0 for (_, kq), (_, kp) in zip(sq.ladder, pair.ladder)):
-            return f"squares period does not divide pair period: {sq.ladder} vs {pair.ladder}"
-        if sq.law_holds:
-            return Verdict("pass", f"squares ladder {list(sq.ladder)}, t={sq.t}")
-        return f"squares scaling law fails: {list(sq.ladder)}"
-    return _sweep("squares_period", _prime_cases(config.grid(), SQUARES_PRIMES), probe, None,
-                  "{}")
+@_suite("squares_period", lambda config: _prime_cases(config.grid(), SQUARES_PRIMES), None, "{}")
+def _squares_period(params, p):
+    sq = squares_period_law_report(params, p, 2)
+    pair = period_law_report(params, p, 2)
+    if not all(kp % kq == 0 for (_, kq), (_, kp) in zip(sq.ladder, pair.ladder)):
+        return f"squares period does not divide pair period: {sq.ladder} vs {pair.ladder}"
+    if sq.law_holds:
+        return Verdict("pass", f"squares ladder {list(sq.ladder)}, t={sq.t}")
+    return f"squares scaling law fails: {list(sq.ladder)}"
 
 
-def _suite_cycle_entry(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        moduli = _moduli(params, 40, False)
-        for m in moduli:
-            chk = cycle_entry_check(params, m)
-            if not chk.consistent:
-                return m, chk.predicted, chk.observed, chk.pair_on_cycle
-        return Verdict("pass", f"{len(moduli)} degenerate moduli m <= 40 all consistent")
-    grid = [params for params in config.grid() if _moduli(params, 40, False)]
-    return _sweep("cycle_entry", grid, probe, None,
-                  "m={0[0]}: predicted {0[1]}, observed {0[2]} (on cycle: {0[3]})")
+@_suite("cycle_entry",
+        lambda config: [params for params in config.grid() if _moduli(params, 40, False)],
+        None, "m={0[0]}: predicted {0[1]}, observed {0[2]} (on cycle: {0[3]})")
+def _cycle_entry(params):
+    moduli = _moduli(params, 40, False)
+    for m in moduli:
+        chk = cycle_entry_check(params, m)
+        if not chk.consistent:
+            return m, chk.predicted, chk.observed, chk.pair_on_cycle
+    return Verdict("pass", f"{len(moduli)} degenerate moduli m <= 40 all consistent")
 
 
 # --- divisibility suites -----------------------------------------------------
 
-def _suite_repetition_law(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params, p):
+@_suite("repetition_law",
+        lambda config: _prime_cases(config.coprime_grid(), (2,) + ODD_PRIMES_37), None, "{}")
+def _repetition_law(params, p):
+    try:
+        rep = repetition_law_check(params, p)
+    except DegenerateSequenceError as exc:
+        return Verdict("known-exception", f"degenerate: {exc}")
+    if rep.observed_next_rank % rep.base_rank:
+        return f"next rank {rep.observed_next_rank} not a multiple of {rep.base_rank}"
+    if rep.holds:
+        return Verdict("pass", f"rank {rep.base_rank}, valuation {rep.base_valuation} "
+                               f"-> +1 at {rep.observed_next_rank}")
+    if p == 2:
+        return Verdict("known-exception",
+                       f"2-adic valuation jump: rank {rep.base_rank}, "
+                       f"nu_2(e({rep.predicted_next_rank})) = {rep.observed_valuation_at_pn} "
+                       f"!= {rep.base_valuation + 1}")
+    return f"law fails at odd prime: {rep}"
+
+
+@_suite("square_divisibility", VerifyConfig.coprime_grid,
+        "n <= 8, m <= 30", "biconditional fails at n={0[0]}: m={0[1]}")
+def _square_divisibility(params):
+    skipped = []
+    for n in range(1, 9):
         try:
-            rep = repetition_law_check(params, p)
-        except DegenerateSequenceError as exc:
-            return Verdict("known-exception", f"degenerate: {exc}")
-        if rep.observed_next_rank % rep.base_rank:
-            return f"next rank {rep.observed_next_rank} not a multiple of {rep.base_rank}"
-        if rep.holds:
-            return Verdict("pass", f"rank {rep.base_rank}, valuation {rep.base_valuation} "
-                                   f"-> +1 at {rep.observed_next_rank}")
-        if p == 2:
-            return Verdict("known-exception",
-                           f"2-adic valuation jump: rank {rep.base_rank}, "
-                           f"nu_2(e({rep.predicted_next_rank})) = {rep.observed_valuation_at_pn} "
-                           f"!= {rep.base_valuation + 1}")
-        return f"law fails at odd prime: {rep}"
-    return _sweep("repetition_law", _prime_cases(config.coprime_grid(), (2,) + ODD_PRIMES_37),
-                  probe, None, "{}")
+            chk = square_divisibility_check(params, n, 30)
+        except DegenerateSequenceError:
+            skipped.append(n)
+            continue
+        if not chk.holds:
+            return n, chk.counterexamples[0][0]
+    if skipped:
+        return Verdict("pass", f"n <= 8, m <= 30 (zero-term n skipped: {skipped})")
+    return None
 
 
-def _suite_square_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        skipped = []
-        for n in range(1, 9):
-            try:
-                chk = square_divisibility_check(params, n, 30)
-            except DegenerateSequenceError:
-                skipped.append(n)
-                continue
-            if not chk.holds:
-                return n, chk.counterexamples[0][0]
-        if skipped:
-            return Verdict("pass", f"n <= 8, m <= 30 (zero-term n skipped: {skipped})")
-        return None
-    return _sweep("square_divisibility", config.coprime_grid(), probe, "n <= 8, m <= 30",
-                  "biconditional fails at n={0[0]}: m={0[1]}")
+@_suite("power_divisibility", VerifyConfig.coprime_grid,
+        "n <= 6, k <= 2", "power law fails at n={0[0]}, k={0[1]}")
+def _power_divisibility(params):
+    return next(((n, chk.counterexamples[0][0]) for n in range(1, 7)
+                 if not (chk := power_divisibility_check(params, n, 2)).holds), None)
 
 
-def _suite_power_divisibility(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        return next(((n, chk.counterexamples[0][0]) for n in range(1, 7)
-                     if not (chk := power_divisibility_check(params, n, 2)).holds), None)
-    return _sweep("power_divisibility", config.coprime_grid(), probe,
-                  "n <= 6, k <= 2", "power law fails at n={0[0]}, k={0[1]}")
+@_suite("divisibility_sequence", VerifyConfig.coprime_grid, None, "counterexamples {}")
+def _divisibility_sequence(params):
+    chk = divisibility_sequence_check(params, 15, 60)
+    if chk.holds:
+        return Verdict("pass", f"a <= 15, b <= 60; degenerate indices {list(chk.degenerate)}")
+    if all(e_d % e_a == 0 for (_, _, _, e_a, e_d) in chk.counterexamples):
+        return Verdict("known-exception",
+                       f"magnitude collisions at a in {list(chk.collision_indices)}: "
+                       f"|e(a)| divides an earlier |e(gcd(a, b))|; "
+                       f"first witness {chk.counterexamples[0]}")
+    return chk.counterexamples[:3]
 
 
-def _suite_divisibility_sequence(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        chk = divisibility_sequence_check(params, 15, 60)
-        if chk.holds:
-            return Verdict("pass", f"a <= 15, b <= 60; degenerate indices {list(chk.degenerate)}")
-        if all(e_d % e_a == 0 for (_, _, _, e_a, e_d) in chk.counterexamples):
-            return Verdict("known-exception",
-                           f"magnitude collisions at a in {list(chk.collision_indices)}: "
-                           f"|e(a)| divides an earlier |e(gcd(a, b))|; "
-                           f"first witness {chk.counterexamples[0]}")
-        return chk.counterexamples[:3]
-    return _sweep("divisibility_sequence", config.coprime_grid(), probe, None,
-                  "counterexamples {}")
-
-
-def _suite_trailing_zeros(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        try:
-            for base in (2, 10):
-                trailing_zeros_report(params, base, 200)
-        except RuntimeError as exc:
-            return exc
-        return None
-    return _sweep("trailing_zeros", config.grid(), probe,
-                  "digit stripping = valuation formula, bases 2 and 10, n <= 200",
-                  "strip/valuation cross-check failed: {}")
+@_suite("trailing_zeros", VerifyConfig.grid,
+        "digit stripping = valuation formula, bases 2 and 10, n <= 200",
+        "strip/valuation cross-check failed: {}")
+def _trailing_zeros(params):
+    try:
+        for base in (2, 10):
+            trailing_zeros_report(params, base, 200)
+    except RuntimeError as exc:
+        return exc
+    return None
 
 
 # --- congruence suites ---------------------------------------------------------
 
-def _suite_determinant_congruence(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params, p):
-        for e in (1, 2):
-            alpha = rank(params, p ** e).alpha
-            if alpha is None:
-                return e, "no rank"
-            for j in (1, 2, 3):
-                res = determinant_congruence_check(params, p, e, j * alpha)
-                if not res.holds:
-                    return e, j * alpha, res.lhs, res.rhs
-        return None
-    return _sweep("determinant_congruence", _prime_cases(config.grid(), CONGRUENCE_PRIMES), probe,
-                  "e in {1, 2}, first three rank multiples", "congruence fails: {}")
+@_suite("determinant_congruence", lambda config: _prime_cases(config.grid(), CONGRUENCE_PRIMES),
+        "e in {1, 2}, first three rank multiples", "congruence fails: {}")
+def _determinant_congruence(params, p):
+    for e in (1, 2):
+        alpha = rank(params, p ** e).alpha
+        if alpha is None:
+            return e, "no rank"
+        for j in (1, 2, 3):
+            res = determinant_congruence_check(params, p, e, j * alpha)
+            if not res.holds:
+                return e, j * alpha, res.lhs, res.rhs
+    return None
 
 
-def _suite_det_power_identity(config: VerifyConfig) -> Iterator[CheckRecord]:
-    def probe(params):
-        return next(((p, n) for p in DET_POWER_MODULI
-                     if (n := det_power_identity_violation(params, p)) is not None), None)
-    return _sweep("det_power_identity", config.grid(), probe,
-                  "odd p <= 9 (incl. composite 9), n <= 15, exact",
-                  "identity fails at (p, n) = {}")
+@_suite("det_power_identity", VerifyConfig.grid,
+        "odd p <= 9 (incl. composite 9), n <= 15, exact", "identity fails at (p, n) = {}")
+def _det_power_identity(params):
+    return next(((p, n) for p in DET_POWER_MODULI
+                 if (n := det_power_identity_violation(params, p)) is not None), None)
 
 
-def _suite_period_step(config: VerifyConfig) -> Iterator[CheckRecord]:
-    return _sweep("period_step_congruence", config.grid(), period_step_violation,
-                  "a <= 6, n <= 12 (vacuous moduli trivially true)",
-                  "congruence fails at (a, n) = {}")
-
-
-SUITES: dict[str, Callable[[VerifyConfig], Iterator[CheckRecord]]] = {
-    "addition_identity": _suite_addition_identity,
-    "doubling_consistency": _suite_doubling_consistency,
-    "companion_recurrence": _suite_companion_recurrence,
-    "recurrence_space": _suite_recurrence_space,
-    "seeded_combination": _suite_seeded_combination,
-    "cassini_sign_law": _suite_cassini_sign_law,
-    "multiplication_formula": _suite_multiplication_formula,
-    "gcd_companion": _suite_gcd_companion,
-    "term_mod_agreement": _suite_term_mod_agreement,
-    "purity_gcd_law": _suite_purity_gcd_law,
-    "period_zero_alignment": _suite_period_zero_alignment,
-    "zero_index_progression": _suite_zero_index_progression,
-    "period_ladder": _suite_period_ladder,
-    "squares_period": _suite_squares_period,
-    "cycle_entry": _suite_cycle_entry,
-    "repetition_law": _suite_repetition_law,
-    "square_divisibility": _suite_square_divisibility,
-    "power_divisibility": _suite_power_divisibility,
-    "divisibility_sequence": _suite_divisibility_sequence,
-    "trailing_zeros": _suite_trailing_zeros,
-    "determinant_congruence": _suite_determinant_congruence,
-    "det_power_identity": _suite_det_power_identity,
-    "period_step_congruence": _suite_period_step,
-}
+_suite("period_step_congruence", VerifyConfig.grid,
+       "a <= 6, n <= 12 (vacuous moduli trivially true)",
+       "congruence fails at (a, n) = {}")(period_step_violation)
 
 
 def run_verification(config: VerifyConfig) -> tuple[list[CheckRecord], VerifySummary]:

@@ -110,6 +110,14 @@ MUTANTS = (
            " - params.B * e[n - 2]", "", ("tests/test_verify.py",)),
     Mutant("sieve starts each segment at p, not p*p", "atlas.py",
            "max(p * p, ", "max(p, ", ("tests/test_atlas.py",)),
+    Mutant("registry swaps ok and fail", "verify.py",
+           "_sweep(name, cases(config), probe, ok, fail)",
+           "_sweep(name, cases(config), probe, fail, ok)", ("tests/test_golden.py",)),
+    Mutant("purity trusts the orbit's tail", "verify.py",
+           "(term_pair(params, cycle_structure(params, m).cycle_len, m) == (0, 1))",
+           "cycle_structure(params, m).pure", ("tests/test_verify.py",)),
+    Mutant("alignment drops the zero check", "verify.py",
+           "\n                or term_mod(params, alpha, m) != 0", "", ("tests/test_verify.py",)),
 )
 
 

@@ -50,9 +50,12 @@ def test_parse_config_rejects_unknown_key():
     ("A_min = -2\nsuites = ,, ,\n", "config line 2: no suite named"),
     ("A_min = -2\nB_max = 3\nA_min = 0\n", "config line 3: 'A_min' is given twice"),
     ("suites = all\nsuites = cassini_sign_law\n", "config line 2: 'suites' is given twice"),
+    ("suites = gcd_companion, gcd_companion\n",
+     "config line 1: suite 'gcd_companion' is named twice"),
 ])
 def test_parse_config_rejects_silent_config(tmp_path, capsys, text, message):
-    # Either would run zero suites, or drop a value, and still exit 0.
+    # Each would run zero suites, drop a value, or count a suite's records
+    # twice, and still exit 0.
     with pytest.raises(ValueError, match=f"^{message}"):
         parse_config(text)
     config = tmp_path / "verify.cfg"
@@ -158,7 +161,15 @@ def test_broad_grid_no_failures():
 
 
 def test_suite_registry_complete():
-    assert len(SUITES) == 23
+    # Definition order is record order, which the golden sha256 pins.
+    assert list(SUITES) == [
+        "addition_identity", "doubling_consistency", "companion_recurrence", "recurrence_space",
+        "seeded_combination", "cassini_sign_law", "multiplication_formula", "gcd_companion",
+        "term_mod_agreement", "purity_gcd_law", "period_zero_alignment",
+        "zero_index_progression", "period_ladder", "squares_period", "cycle_entry",
+        "repetition_law", "square_divisibility", "power_divisibility", "divisibility_sequence",
+        "trailing_zeros", "determinant_congruence", "det_power_identity",
+        "period_step_congruence"]
     cfg = VerifyConfig(a_min=1, a_max=1, b_min=1, b_max=1)
     records, _ = run_verification(cfg)
     # B = 1 admits no degenerate moduli, so cycle_entry has nothing to say.
@@ -239,6 +250,10 @@ FAILED_REPORT = "RepetitionLawReport(p=3, base_rank=4, base_valuation=1, predict
     pytest.param("determinant_congruence", "determinant_congruence_check",
                  _tamper(holds=False, lhs=1, rhs=2), (1, 1), "(A=1, B=1) p=3", "fail",
                  "congruence fails: (1, 4, 1, 2)", id="determinant-congruence"),
+    pytest.param("purity_gcd_law", "cycle_structure", _tamper(cycle_len=5), (1, 1),
+                 "(A=1, B=1)", "fail", "purity mismatch at m = 2", id="purity-kernel"),
+    pytest.param("period_zero_alignment", "rank", _tamper(alpha=1), (1, 1), "(A=1, B=1)",
+                 "fail", "misalignment (2, 3, (0, 1), 1)", id="alignment-kernel"),
 ])
 def test_suite_violation_branches(monkeypatch, suite, law, fake, pair, case, classification,
                                   detail):
