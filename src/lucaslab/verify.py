@@ -277,11 +277,15 @@ def _term_mod_agreement(params):
 @_suite("purity_gcd_law", VerifyConfig.grid,
         "pure <=> gcd(B, m) = 1 for m <= 100", "purity mismatch at m = {}")
 def _purity_gcd_law(params):
-    # The kernel, not the orbit's tail, decides purity: one cycle from (0, 1)
-    # comes back to (0, 1) exactly when the orbit has no tail.
-    return next((m for m in range(2, 101)
-                 if (term_pair(params, cycle_structure(params, m).cycle_len, m) == (0, 1))
-                 != (math.gcd(params.B, m) == 1)), None)
+    # The kernel checks the orbit's tail t: pair(n + cycle) = pair(n) first at n = t.
+    for m in range(2, 101):
+        orbit = cycle_structure(params, m)
+        t, c = orbit.tail_len, orbit.cycle_len
+        if (orbit.pure != (math.gcd(params.B, m) == 1)
+                or term_pair(params, t + c, m) != term_pair(params, t, m)
+                or t and term_pair(params, t - 1 + c, m) == term_pair(params, t - 1, m)):
+            return m
+    return None
 
 
 @_suite("period_zero_alignment", VerifyConfig.grid,
@@ -448,9 +452,7 @@ _suite("period_step_congruence", VerifyConfig.grid,
 def run_verification(config: VerifyConfig) -> tuple[list[CheckRecord], VerifySummary]:
     """Run the selected suites and return their records plus a summary."""
     selected = config.suites if config.suites is not None else tuple(SUITES)
-    records: list[CheckRecord] = []
-    for suite_name in selected:
-        records.extend(SUITES[suite_name](config))
+    records = [record for name in selected for record in SUITES[name](config)]
     summary = VerifySummary(
         records=len(records),
         passed=sum(r.classification == "pass" for r in records),

@@ -114,8 +114,12 @@ MUTANTS = (
            "_sweep(name, cases(config), probe, ok, fail)",
            "_sweep(name, cases(config), probe, fail, ok)", ("tests/test_golden.py",)),
     Mutant("purity trusts the orbit's tail", "verify.py",
-           "(term_pair(params, cycle_structure(params, m).cycle_len, m) == (0, 1))",
-           "cycle_structure(params, m).pure", ("tests/test_verify.py",)),
+           "\n                or term_pair(params, t + c, m) != term_pair(params, t, m)"
+           "\n                or t and term_pair(params, t - 1 + c, m) == term_pair(params, t - 1, m)",
+           "", ("tests/test_verify.py",)),
+    Mutant("purity skips the least-tail check", "verify.py",
+           "\n                or t and term_pair(params, t - 1 + c, m) == term_pair(params, t - 1, m)",
+           "", ("tests/test_verify.py",)),
     Mutant("alignment drops the zero check", "verify.py",
            "\n                or term_mod(params, alpha, m) != 0", "", ("tests/test_verify.py",)),
 )

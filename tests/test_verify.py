@@ -252,6 +252,10 @@ FAILED_REPORT = "RepetitionLawReport(p=3, base_rank=4, base_valuation=1, predict
                  "congruence fails: (1, 4, 1, 2)", id="determinant-congruence"),
     pytest.param("purity_gcd_law", "cycle_structure", _tamper(cycle_len=5), (1, 1),
                  "(A=1, B=1)", "fail", "purity mismatch at m = 2", id="purity-kernel"),
+    pytest.param("purity_gcd_law", "cycle_structure", _tamper(tail_len=0), (1, 2),
+                 "(A=1, B=2)", "fail", "purity mismatch at m = 2", id="purity-no-tail"),
+    pytest.param("purity_gcd_law", "cycle_structure", _tamper(tail_len=2), (1, 2),
+                 "(A=1, B=2)", "fail", "purity mismatch at m = 2", id="purity-least-tail"),
     pytest.param("period_zero_alignment", "rank", _tamper(alpha=1), (1, 1), "(A=1, B=1)",
                  "fail", "misalignment (2, 3, (0, 1), 1)", id="alignment-kernel"),
 ])
