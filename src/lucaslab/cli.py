@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 verification failures present,
-2 usage or domain error, 3 budget exceeded.
+2 usage or domain error, 3 budget exceeded. A closed output pipe (`| head`)
+ends the command quietly with its own code.
 
 Machine output is deterministic: JSON is one object per line with fixed key
 order (sequence terms rendered as decimal strings so nothing is rounded),
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -205,21 +207,25 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    code = 0  # the command's own exit code, kept when the reader closes the pipe
     try:
-        return _dispatch(args)
+        records, fields, code = args.run(args)
+        with _open_out(args.out) as sink:
+            write_records(records, fields, sink, args.format)
+        return code
+    except BrokenPipeError:
+        # The reader went away (`| head`): drop the rest of the output, and
+        # point stdout at os.devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LucasLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    records, fields, code = args.run(args)
-    with _open_out(args.out) as sink:
-        write_records(records, fields, sink, args.format)
-    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy import isprime
-
 from .errors import BudgetExceededError
 
 DEFAULT_DIGIT_BUDGET = 10**6
@@ -166,14 +164,3 @@ def _nu(x: int, p: int) -> int | float:
         x //= p
         k += 1
     return k
-
-
-def _require_prime(p: int) -> None:
-    if not isprime(p):
-        raise ValueError(f"p must be prime, got {p}")
-
-
-def valuation(x: int, p: int) -> int | float:
-    """Largest k with p^k | x; math.inf for x = 0. Rejects composite p."""
-    _require_prime(p)
-    return _nu(x, p)

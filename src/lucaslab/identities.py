@@ -9,11 +9,9 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from sympy import isprime
-
 from .core import RecurrenceParams, cassini_value, companion, term, term_pair
 from .errors import HypothesisNotMetError
-from .modular import term_mod
+from .modular import _require_prime, term_mod
 
 DET_POWER_MODULI = (3, 5, 7, 9)
 
@@ -82,7 +80,8 @@ def determinant_congruence_check(params: RecurrenceParams, p: int, e: int,
     p being an odd prime. For A = B = 1 the (-B)^(p-1) factor is 1 and this
     is the plain Fibonacci determinant congruence.
     """
-    if not isprime(p) or p == 2:
+    _require_prime(p)
+    if p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     if e < 1 or n < 1:
         raise ValueError("e and n must be positive")

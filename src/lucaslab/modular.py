@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from sympy import factorint, isprime, perfect_power
 
-from .core import RecurrenceParams, _nu, _require_prime, term, term_pair
+from .core import RecurrenceParams, _nu, term, term_pair
 from .errors import BudgetExceededError, NoPurePeriodError
 
 DEFAULT_STATE_BUDGET = 10**8
@@ -179,6 +179,12 @@ class RankReport:
     modulus: int
     alpha: int | None
     valuation_at_alpha: int | float | None
+
+
+def _require_prime(p: int) -> None:
+    """The one "p must be prime" check of the prime-power laws."""
+    if not isprime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 def rank(params: RecurrenceParams, m: int) -> RankReport:

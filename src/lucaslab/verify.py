@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from .core import (
     RecurrenceParams,
+    _nu,
     companion,
     seeded_term,
     term_pair,
@@ -185,6 +186,26 @@ def _moduli(params: RecurrenceParams, m_max: int, unit: bool) -> list[int]:
     return [m for m in range(2, m_max + 1) if (math.gcd(params.B, m) == 1) == unit]
 
 
+def _primes_of(n: int) -> list[int]:
+    """The primes dividing n >= 1, by trial division: the periods and ranks checked
+    for least-ness here stay below 13^2 * 168."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _squares_repeat(params: RecurrenceParams, d: int, m: int) -> bool:
+    """Whether s(n) = e(n)^2 mod m repeats after d steps: (s(d), s(d+1), s(d+2)) = (0, 1, A^2)."""
+    a, b = term_pair(params, d, m)
+    A, B = params.A, params.B
+    return (a * a % m, b * b % m, (A * b + B * a) ** 2 % m) == (0, 1, A * A % m)
+
+
 SUITES: dict[str, Callable[[VerifyConfig], Iterator[CheckRecord]]] = {}
 
 
@@ -291,13 +312,16 @@ def _purity_gcd_law(params):
 @_suite("period_zero_alignment", VerifyConfig.grid,
         "period = cycle length and alpha | period, m <= 50", "misalignment {}")
 def _period_zero_alignment(params):
-    # The kernel checks the orbit's answers: e(k), e(k+1) = 0, 1 and e(alpha) = 0.
+    # The kernel checks the orbit's answers: e(k), e(k+1) = 0, 1 and e(alpha) = 0,
+    # and neither holds at k/q or alpha/q for a prime q, so k and alpha are least.
     for m in _moduli(params, 50, True):
         k = period(params, m)
         pair = term_pair(params, k, m)
         alpha = rank(params, m).alpha
         if (pair != (0, 1) or alpha is None or k % alpha != 0
-                or term_mod(params, alpha, m) != 0):
+                or term_mod(params, alpha, m) != 0
+                or any(term_pair(params, k // q, m) == (0, 1) for q in _primes_of(k))
+                or any(term_mod(params, alpha // q, m) == 0 for q in _primes_of(alpha))):
             return m, k, pair, alpha
     return None
 
@@ -319,6 +343,10 @@ def _period_ladder(params, p):
     if not all(k2 % k1 == 0 and k2 // k1 in (1, p)
                for (_, k1), (_, k2) in zip(rep.ladder, rep.ladder[1:])):
         return f"ladder not monotone: {rep.ladder}"
+    if any(term_pair(params, k, p ** e) != (0, 1)
+           or any(term_pair(params, k // q, p ** e) == (0, 1) for q in _primes_of(k))
+           for e, k in rep.ladder):
+        return f"rung is not the least period: ladder {list(rep.ladder)}"
     if rep.law_holds:
         return Verdict("pass", f"ladder {list(rep.ladder)}, t={rep.t}")
     if p == 2:
@@ -333,6 +361,10 @@ def _squares_period(params, p):
     pair = period_law_report(params, p, 2)
     if not all(kp % kq == 0 for (_, kq), (_, kp) in zip(sq.ladder, pair.ladder)):
         return f"squares period does not divide pair period: {sq.ladder} vs {pair.ladder}"
+    if any(not _squares_repeat(params, k, p ** e)
+           or any(_squares_repeat(params, k // q, p ** e) for q in _primes_of(k))
+           for e, k in sq.ladder):
+        return f"squares rung is not the least period: {list(sq.ladder)}"
     if sq.law_holds:
         return Verdict("pass", f"squares ladder {list(sq.ladder)}, t={sq.t}")
     return f"squares scaling law fails: {list(sq.ladder)}"
@@ -413,12 +445,10 @@ def _divisibility_sequence(params):
         "digit stripping = valuation formula, bases 2 and 10, n <= 200",
         "strip/valuation cross-check failed: {}")
 def _trailing_zeros(params):
-    try:
-        for base in (2, 10):
-            trailing_zeros_report(params, base, 200)
-    except RuntimeError as exc:
-        return exc
-    return None
+    e = terms(params, 200)  # the second route: z(n) = min over q^c || base of nu_q(e(n)) // c
+    return next(((base, n, z) for base, factors in ((2, {2: 1}), (10, {2: 1, 5: 1}))
+                 for n, z in trailing_zeros_report(params, base, 200).samples
+                 if z != min(_nu(e[n], q) // c for q, c in factors.items())), None)
 
 
 # --- congruence suites ---------------------------------------------------------

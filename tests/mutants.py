@@ -101,7 +101,7 @@ MUTANTS = (
            "        v += 1\n", "        v += 2\n", ("tests/test_divisibility.py",) + MODULAR),
     Mutant("unit alpha descends modulo m, not its unit part", "modular.py",
            "term_pair(params, d, unit)[0] == 0", "term_pair(params, d, m)[0] == 0", MODULAR),
-    Mutant("prime check passes composites", "core.py",
+    Mutant("prime check passes composites", "modular.py",
            "    if not isprime(p):\n", "    if False:\n",
            ("tests/test_divisibility.py",) + MODULAR),
     Mutant("residual skip ignores shift q", "verify.py",
@@ -122,6 +122,26 @@ MUTANTS = (
            "", ("tests/test_verify.py",)),
     Mutant("alignment drops the zero check", "verify.py",
            "\n                or term_mod(params, alpha, m) != 0", "", ("tests/test_verify.py",)),
+    Mutant("trailing-zero oracle drops the base's 5", "verify.py",
+           "{2: 1, 5: 1}", "{2: 1}", ("tests/test_verify.py",)),
+    Mutant("alignment skips the least-period check", "verify.py",
+           "\n                or any(term_pair(params, k // q, m) == (0, 1) for q in _primes_of(k))",
+           "", ("tests/test_verify.py",)),
+    Mutant("alignment skips the least-rank check", "verify.py",
+           "\n                or any(term_mod(params, alpha // q, m) == 0 for q in _primes_of(alpha))",
+           "", ("tests/test_verify.py",)),
+    Mutant("ladder skips the least-rung check", "verify.py",
+           "\n           or any(term_pair(params, k // q, p ** e) == (0, 1) for q in _primes_of(k))",
+           "", ("tests/test_verify.py",)),
+    Mutant("squares ladder skips the least-period check", "verify.py",
+           "\n           or any(_squares_repeat(params, k // q, p ** e) for q in _primes_of(k))",
+           "", ("tests/test_verify.py",)),
+    Mutant("closed pipe reported as an error", "cli.py",
+           "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
+           ("tests/test_cli.py",)),
+    Mutant("div-seq skips its digit charge", "divisibility.py",
+           "    if digits > DEFAULT_DIGIT_BUDGET:\n", "    if False:\n",
+           ("tests/test_divisibility.py",)),
 )
 
 

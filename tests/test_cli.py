@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -309,6 +310,40 @@ def test_square_div_budget_checked_before_work(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "~6269630 digits, over the budget of 1000000" in captured.err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as under `| head`, on the file descriptor fd."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("atlas --A-range 1 --B-range 1 --m-range 2..1000000000000 --format csv", 0),
+    ("identities -A 1 -B 1", 1),  # its kernel is broken below
+])
+def test_closed_pipe_exits_quietly(capsys, monkeypatch, tmp_path, argv, code):
+    # The command keeps its own exit code and writes nothing to stderr, and its
+    # stdout now points at os.devnull, so the final flush at exit stays quiet.
+    monkeypatch.setattr(identities, "term_pair", lambda params, n, m=None: (0, 0))
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(argv.split()) == code
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_atlas_small_modulus_writes_nothing(tmp_path, capsys):

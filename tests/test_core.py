@@ -1,10 +1,14 @@
 """Exact-arithmetic layer: terms, pairs, companions, seeded combinations, Cassini."""
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lucaslab
 from lucaslab import (
     BudgetExceededError,
     RecurrenceParams,
@@ -159,3 +163,16 @@ def test_term_budget_enforced(fib):
     with pytest.raises(BudgetExceededError):
         check_term_budget(fib, 10**8, digit_budget=1000)
     check_term_budget(fib, 1000, digit_budget=1000)  # ~209 digits, fine
+
+
+def test_sympy_imported_by_modular_only():
+    # Every primality and factoring question goes through modular, so a
+    # replacement for sympy changes one module.
+    importers = set()
+    for path in Path(lucaslab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.partition(".")[0] == "sympy" for name in names):
+                importers.add(path.name)
+    assert importers == {"modular.py"}

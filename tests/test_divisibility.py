@@ -317,6 +317,14 @@ def test_divisibility_sequence_matches_exact_terms(ab, a_max, b_max):
     assert chk.degenerate == tuple(a for a in range(1, a_max + 1) if abs(e[a]) <= 1)
 
 
+def test_divisibility_sequence_charges_its_terms(fib):
+    # e(1..a_max) are charged against the digit budget before any is built:
+    # ~942,000 digits at a_max = 3000 fit, ~2,615,000 at a_max = 5000 do not.
+    assert divisibility_sequence_check(fib, 3000, 1).holds
+    with pytest.raises(BudgetExceededError, match=r"e\(1\.\.5000\) .* ~2615000 digits in all"):
+        divisibility_sequence_check(fib, 5000, 1)
+
+
 def test_divisibility_sequence_builds_terms_only_to_a_max(fib):
     # e(10^6) has ~209,000 digits; each b is one step of the pair mod e(a).
     tracemalloc.start()

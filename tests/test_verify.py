@@ -13,7 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lucaslab import RecurrenceParams, VerifyConfig, parse_config, run_verification, verify
+from lucaslab import (
+    RecurrenceParams,
+    VerifyConfig,
+    divisibility,
+    modular,
+    parse_config,
+    run_verification,
+    verify,
+)
 from lucaslab.cli import main
 from lucaslab.verify import SUITES, CheckRecord
 
@@ -219,6 +227,10 @@ FAILED_REPORT = "RepetitionLawReport(p=3, base_rank=4, base_valuation=1, predict
     pytest.param("period_ladder", "period_law_report", _tamper(law_holds=False), (1, 1),
                  "(A=1, B=1) p=3", "fail", "scaling law fails: ladder [(1, 8), (2, 24), (3, 72)]",
                  id="ladder-scaling"),
+    pytest.param("period_ladder", "period_law_report",
+                 _tamper(ladder=((1, 4), (2, 12), (3, 36))), (1, 1), "(A=1, B=1) p=3", "fail",
+                 "rung is not the least period: ladder [(1, 4), (2, 12), (3, 36)]",
+                 id="ladder-not-a-period"),
     pytest.param("period_ladder", "period_law_report", _tamper(law_holds=False), (1, 1),
                  "(A=1, B=1) p=2", "known-exception",
                  "2-adic scaling anomaly: ladder [(1, 3), (2, 6), (3, 12)], t=1", id="ladder-2-adic"),
@@ -226,6 +238,10 @@ FAILED_REPORT = "RepetitionLawReport(p=3, base_rank=4, base_valuation=1, predict
                  _tamper(ladder=((1, 5), (2, 12))), (1, 1), "(A=1, B=1) p=3", "fail",
                  "squares period does not divide pair period: ((1, 5), (2, 12)) vs ((1, 8), (2, 24))",
                  id="squares-divides"),
+    pytest.param("squares_period", "squares_period_law_report",
+                 _tamper(ladder=((1, 2), (2, 6))), (1, 1), "(A=1, B=1) p=3", "fail",
+                 "squares rung is not the least period: [(1, 2), (2, 6)]",
+                 id="squares-not-a-period"),
     pytest.param("squares_period", "squares_period_law_report", _tamper(law_holds=False), (1, 1),
                  "(A=1, B=1) p=3", "fail", "squares scaling law fails: [(1, 4), (2, 12)]",
                  id="squares-scaling"),
@@ -269,6 +285,60 @@ def test_suite_violation_branches(monkeypatch, suite, law, fake, pair, case, cla
     records, _ = run_verification(cfg)
     assert {r.case: r for r in records}[case] == CheckRecord(suite, case, False, classification,
                                                              detail)
+
+
+def _orbit_tamper(change):
+    """Wrap modular._orbit so that change rewrites each (tail, cycle, alpha) it returns."""
+    return lambda real: lambda params, m: change(*real(params, m))
+
+
+# Answer tampers: a library function patched to return a wrong answer, not a
+# wrong verdict. Each row names every suite that must then fail on the family
+# (1, 2), whose grid reaches all 23 suites (cycle_entry needs a B with a
+# factor). It has no exact zero: there a tampered alpha can make
+# _term_valuation climb forever.
+ANSWER_TAMPERS = [
+    pytest.param(modular, "_orbit", _orbit_tamper(lambda t, c, a: (t, 2 * c, a)),
+                 {"period_zero_alignment"}, id="doubled-cycle"),
+    pytest.param(modular, "_least_divisor", lambda real: lambda n, holds, primes: n,
+                 {"period_ladder", "squares_period"}, id="no-op-descent"),
+    pytest.param(modular, "_orbit", _orbit_tamper(lambda t, c, a: (t + 1 if t else 0, c, a)),
+                 {"purity_gcd_law", "cycle_entry"}, id="tail-plus-one"),
+    pytest.param(modular, "_orbit",
+                 _orbit_tamper(lambda t, c, a: (t, c, 2 * a if a and c % (2 * a) == 0 else a)),
+                 {"zero_index_progression", "period_zero_alignment"}, id="doubled-alpha"),
+    pytest.param(divisibility, "_term_valuation", lambda real: lambda *args: real(*args) + 1,
+                 {"repetition_law"}, id="valuation-plus-one"),
+    pytest.param(divisibility, "_trailing_zeros_of",
+                 lambda real: lambda value, base: real(value, base) + 1,
+                 {"trailing_zeros"}, id="trailing-zeros-plus-one"),
+]
+
+# Suites that check a closed-form identity, congruence or divisibility law on
+# terms, which holds whatever period, rank, tail or valuation the library
+# reports, so no answer tamper flips them.
+EXACT_IDENTITY_SUITES = {
+    "addition_identity", "doubling_consistency", "companion_recurrence", "recurrence_space",
+    "seeded_combination", "cassini_sign_law", "multiplication_formula", "gcd_companion",
+    "term_mod_agreement", "square_divisibility", "power_divisibility", "divisibility_sequence",
+    "determinant_congruence", "det_power_identity", "period_step_congruence"}
+
+TAMPER_GRID = VerifyConfig(a_min=1, a_max=1, b_min=2, b_max=2)
+
+
+@pytest.mark.parametrize("module, name, wrap, flips", ANSWER_TAMPERS)
+def test_answer_tamper_fails_its_suites(monkeypatch, module, name, wrap, flips):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    records, _ = run_verification(TAMPER_GRID)
+    assert {r.suite for r in records if r.classification == "fail"} == flips
+
+
+def test_every_suite_can_fail():
+    records, summary = run_verification(TAMPER_GRID)
+    assert summary.failed == 0 and {r.suite for r in records} == set(SUITES)
+    flipped = set().union(*(row.values[-1] for row in ANSWER_TAMPERS))
+    assert flipped | EXACT_IDENTITY_SUITES == set(SUITES)
+    assert not flipped & EXACT_IDENTITY_SUITES
 
 
 def _brute_recurrence_space(params, e):
@@ -320,17 +390,18 @@ def test_recurrence_space_last_term_corrupted():
 
 def test_trailing_zeros_suite_runs_under_optimize():
     # Under -O an assert around the sweep would vanish, and every case would
-    # pass without one.
+    # pass without one. The report claims z(2) = 99 in base 2 for every family.
     code = textwrap.dedent("""
         import json
         from unittest import mock
-        from lucaslab import verify
-        def fail(*args):
-            raise RuntimeError("boom")
-        with mock.patch.object(verify, "trailing_zeros_report", fail):
+        from lucaslab import TrailingZerosReport, verify
+        def wrong(params, base, n_max):
+            return TrailingZerosReport(base=base, samples=((2, 99),), max_ratio=99.0)
+        with mock.patch.object(verify, "trailing_zeros_report", wrong):
             records = list(verify.SUITES["trailing_zeros"](verify.VerifyConfig()))
         print(json.dumps([[r.classification, r.detail] for r in records]))
     """)
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [["fail", "strip/valuation cross-check failed: boom"]] * 110
+    detail = "strip/valuation cross-check failed: (2, 2, 99)"
+    assert json.loads(out.stdout) == [["fail", detail]] * 110
