@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .core import RecurrenceParams, term_pair
-from .modular import _bound_primes, _least_divisor, _orbit, _period_multiple
+from .modular import _alpha_from_unit, _bound_primes, _least_divisor, _orbit, _period_multiple
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class WssFinding:
 
 
 SIEVE_SEGMENT = 2**18
+SPLIT_BOUND = 2**16  # the atlas caches parts below it and trial-divides to its root
 
 
 def _primes_upto(n: int) -> Iterator[int]:
@@ -92,6 +93,14 @@ def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
     B = 0 is skipped automatically. Every m must be >= 2, checked when the
     call is made, before any row exists. A step-1 range stays lazy, so a huge
     one streams its rows; any other iterable is sorted and deduplicated.
+
+    Rows are composed by CRT from the orbits of coprime parts of m (Wall
+    1960, Thm 2): the part built from primes of B, found by gcds, and the
+    prime powers of the rest by trial division up to isqrt(SPLIT_BOUND), whose
+    leftover is one more part (composite only past SPLIT_BOUND). A row takes
+    that part's tail, the lcm of the cycles, and alpha from the lcm of the ranks.
+    Each (A, B) caches the orbits of its parts below SPLIT_BOUND only, so a
+    huge range streams in O(1) memory.
     """
     def ascending(values: Iterable[int]) -> range | list[int]:
         return values if isinstance(values, range) and values.step == 1 else sorted(set(values))
@@ -99,14 +108,48 @@ def atlas_rows(A_values: Iterable[int], B_values: Iterable[int],
     m_sorted, B_sorted = ascending(m_values), ascending(B_values)
     if m_sorted and m_sorted[0] < 2:
         raise ValueError(f"every modulus must be >= 2, got {m_sorted[0]}")
-    return (_atlas_row(A, B, m) for A in ascending(A_values)
-            for B in B_sorted if B for m in m_sorted)
+    return _rows(ascending(A_values), B_sorted, m_sorted)
 
 
-def _atlas_row(A: int, B: int, m: int) -> AtlasRow:
-    tail, cyc, alpha = _orbit(RecurrenceParams(A, B), m)
-    return AtlasRow(A=A, B=B, m=m, pure=tail == 0, tail_len=tail,
-                    cycle_len=cyc, alpha=alpha)
+def _rows(A_values: Iterable[int], B_values: Iterable[int],
+          m_values: Iterable[int]) -> Iterator[AtlasRow]:
+    primes = tuple(_primes_upto(math.isqrt(SPLIT_BOUND)))
+
+    def split(n: int) -> dict[int, int]:
+        parts = {}
+        for p in primes:
+            if p * p > n:
+                break
+            while n % p == 0:
+                n //= p
+                parts[p] = parts.get(p, 0) + 1
+        if n > 1:
+            parts[n] = 1
+        return parts
+
+    def orbit(q: int, factor=None) -> tuple[int, int, int | None]:
+        found = orbits.get(q) or _orbit(params, q, factor)
+        if q < SPLIT_BOUND:
+            orbits[q] = found
+        return found
+
+    for A in A_values:
+        for B in B_values:
+            if not B:
+                continue
+            params, orbits = RecurrenceParams(A, B), {}
+            for m in m_values:
+                u = m  # stripped to the part of m prime to B
+                while (d := math.gcd(u, B)) > 1:
+                    u //= d
+                tail, cycle, _ = orbit(m // u) if u < m else (0, 1, None)
+                alpha_u = 1
+                for p, e in split(u).items():
+                    _, c, a = orbit(p ** e, split if p < SPLIT_BOUND else None)
+                    cycle, alpha_u = math.lcm(cycle, c), math.lcm(alpha_u, a)
+                T = 2 * m.bit_length() if u < m else 0
+                yield AtlasRow(A=A, B=B, m=m, pure=tail == 0, tail_len=tail, cycle_len=cycle,
+                               alpha=_alpha_from_unit(params, m, T, lambda: alpha_u))
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,12 @@ def _period_multiple(params: RecurrenceParams, p: int, e: int = 1) -> int:
     return p ** (e - 1) * (p * (p - 1) if params.D % p == 0 else p * p - 1)
 
 
-def _bound_primes(p: int) -> set[int]:
+def _bound_primes(p: int, factor: Callable[[int], dict[int, int]] | None = None) -> set[int]:
     """Every prime of _period_multiple(params, p, e), for any params and e: those of
     p, p - 1 and p + 1, each factored on its own (factorint can stall on p^2 - 1
     long after it has split both factors, e.g. at p = 10^39 + 3)."""
-    return {p, *factorint(p - 1), *factorint(p + 1)}
+    factor = factor or factorint
+    return {p, *factor(p - 1), *factor(p + 1)}
 
 
 def _least_divisor(n: int, holds: Callable[[int], bool], primes: Iterable[int]) -> int:
@@ -80,7 +81,24 @@ class CycleStructure:
 SHORT_ORBIT = 2**12
 
 
-def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
+def _alpha_from_unit(params: RecurrenceParams, m: int, T: int,
+                     unit_alpha: Callable[[], int]) -> int | None:
+    """alpha(m) from alpha(u) = unit_alpha(), u the part of m prime to B; T is 0 when
+    gcd(B, m) = 1, else 2*m.bit_length(). A prime of gcd(B, m) not dividing A leaves
+    e(n) = A^(n-1) (mod p), never 0: None. Else the zeros are the multiples of alpha(u)
+    that are zeros up to T, and all past T (e(n) = 0 mod m / u there): the least one."""
+    g = math.gcd(params.B, m)
+    while (d := math.gcd(g, params.A)) > 1:
+        g //= d
+    if g > 1:
+        return None
+    step = unit_alpha()
+    return next((n for n in range(step, T + 1, step) if term_pair(params, n, m)[0] == 0),
+                (T // step + 1) * step)
+
+
+def _orbit(params: RecurrenceParams, m: int,
+           factor: Callable[[int], dict[int, int]] | None = None) -> tuple[int, int, int | None]:
     """(tail_len, cycle_len, alpha) of the pair orbit of (0, 1) mod m: its
     distinct states number tail_len + cycle_len, and alpha is the least n >= 1
     with e(n) = 0 (mod m), or None.
@@ -96,11 +114,11 @@ def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
     over p^e || m, of _period_multiple(params, p, e) when p does not divide
     B; of p^(e-1)(p - 1) when p | B but not A (the orbit follows the unit
     root = A mod p); and of 1 when p divides A and B (the orbit dies to
-    (0, 0)). Zeros mod the part u of m prime to B are the multiples of
-    alpha(u) | k(u) | cycle. A p | B not dividing A leaves e(n) = A^(n-1)
-    (mod p), never 0; otherwise e(n) = 0 mod m / u for every n past T, so
-    alpha is the first zero walked or else the least multiple of alpha(u)
-    past T. The tail is the least t where pair(t) and pair(t + cycle) meet.
+    (0, 0)). alpha is the first zero walked, or else _alpha_from_unit's, with
+    alpha(u) | k(u) | cycle by descent. The tail is the least t where pair(t)
+    and pair(t + cycle) meet. A caller that knows m's factorization passes
+    factor, which gives the {p: e} of m and of p - 1 and p + 1 for each p | m
+    in place of factorint; then the short walk is skipped.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -112,7 +130,7 @@ def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
         if x == 0 and alpha is None:
             alpha = n
     start = sx, sy = x, y
-    for d in range(1, SHORT_ORBIT + 1):
+    for d in range(1, 1 if factor else SHORT_ORBIT + 1):
         x, y = y, (A * y + B * x) % m
         if x == 0 and alpha is None:
             alpha = T + d
@@ -120,21 +138,20 @@ def _orbit(params: RecurrenceParams, m: int) -> tuple[int, int, int | None]:
             cycle = d
             break
     else:
+        factor = factor or factorint
         unit = bound = 1
         primes: set[int] = set()
-        zero_free = False
-        for p, e in factorint(m).items():
-            primes |= _bound_primes(p)
+        for p, e in factor(m).items():
+            primes |= _bound_primes(p, factor)
             if B % p:
                 unit *= p ** e
                 bound = math.lcm(bound, _period_multiple(params, p, e))
             elif A % p:
-                zero_free = True
                 bound = math.lcm(bound, p ** (e - 1) * (p - 1))
         cycle = _least_divisor(bound, lambda d: term_pair(params, T + d, m) == start, primes)
-        if alpha is None and not zero_free:
-            step = _least_divisor(cycle, lambda d: term_pair(params, d, unit)[0] == 0, primes)
-            alpha = (T // step + 1) * step
+        if alpha is None:
+            alpha = _alpha_from_unit(params, m, T, lambda: _least_divisor(
+                cycle, lambda d: term_pair(params, d, unit)[0] == 0, primes))
     tail = 0
     if T:
         (x, y), (u, v) = (0, 1), term_pair(params, cycle, m)

@@ -74,19 +74,19 @@ MUTANTS = (
            "term_mod(params, cyc, m) if tail == 1", "term_mod(params, cyc - 1, m) if tail == 1",
            MODULAR),
     Mutant("bound primes drop the primes of p + 1", "modular.py",
-           ", *factorint(p + 1)}", "}", MODULAR),
+           ", *factor(p + 1)}", "}", MODULAR),
     Mutant("descent bound at p not dividing B drops p^(e-1)", "modular.py",
            "_period_multiple(params, p, e))", "_period_multiple(params, p, 1))", MODULAR),
     Mutant("descent bound at p | B loses its (p - 1)", "modular.py",
            "p ** (e - 1) * (p - 1))", "p ** (e - 1))", MODULAR),
     Mutant("descent takes p | A and B for a zero-free prime", "modular.py",
-           "            elif A % p:\n", "            else:\n", MODULAR),
+           "    while (d := math.gcd(g, params.A)) > 1:\n", "    while False:\n", MODULAR),
     Mutant("descent tail bound T is halved", "modular.py",
            "else 2 * m.bit_length()", "else m.bit_length()", MODULAR),
     Mutant("impure alpha skips its scan to T", "modular.py",
            "            alpha = n\n", "            pass\n", MODULAR),
     Mutant("impure alpha is not lifted past T", "modular.py",
-           "alpha = (T // step + 1) * step", "alpha = step", MODULAR),
+           "(T // step + 1) * step)", "step)", MODULAR),
     Mutant("tail scan compares e(t) alone", "modular.py",
            "while (x, y) != (u, v) and", "while x != u and", MODULAR),
     Mutant("tail scan starts one index late", "modular.py",
@@ -139,6 +139,12 @@ MUTANTS = (
     Mutant("closed pipe reported as an error", "cli.py",
            "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
            ("tests/test_cli.py",)),
+    Mutant("pure alpha is the product of the component ranks, not their lcm", "atlas.py",
+           "math.lcm(alpha_u, a)", "alpha_u * a", ("tests/test_atlas.py",)),
+    Mutant("cycle is the product of the component cycles", "atlas.py",
+           "math.lcm(cycle, c)", "cycle * c", ("tests/test_atlas.py",)),
+    Mutant("impure alpha drops the zero-free check", "modular.py",
+           "    if g > 1:\n        return None\n", "", ("tests/test_atlas.py",)),
     Mutant("div-seq skips its digit charge", "divisibility.py",
            "    if digits > DEFAULT_DIGIT_BUDGET:\n", "    if False:\n",
            ("tests/test_divisibility.py",)),

@@ -1,6 +1,7 @@
 """Wall-Sun-Sun scanning, the atlas batch driver, and the record writer."""
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import math
@@ -8,11 +9,13 @@ import tracemalloc
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 
 from lucaslab import RecurrenceParams, atlas, atlas_rows, modular, term, term_pair, wss_scan
-from lucaslab.atlas import (ATLAS_FIELDS, SIEVE_SEGMENT, WSS_FIELDS, _primes_upto, atlas_row_obj,
-                            write_records)
+from lucaslab.atlas import (ATLAS_FIELDS, SIEVE_SEGMENT, SPLIT_BOUND, WSS_FIELDS, _primes_upto,
+                            atlas_row_obj, write_records)
 
 from .conftest import naive_orbit, naive_period
 
@@ -162,12 +165,50 @@ def test_atlas_rejects_small_modulus():
         list(atlas_rows([1], [1], [1, 5]))
 
 
-def test_atlas_budget_error_rows():
-    # No row is an error row: k(100000) = 150000 is past the short walk, and the
-    # descent answers it with no budget.
+def test_atlas_row_past_the_short_walk():
+    # k(100000) = 150000 is past the short walk; the row needs no budget.
     rows = list(atlas_rows([1], [1], [3, 100000]))
-    assert [(r.tail_len, r.cycle_len, r.alpha, r.error) for r in rows] == [
-        (*naive_orbit(1, 1, m), None) for m in (3, 100000)]
+    assert [(r.tail_len, r.cycle_len, r.alpha) for r in rows] == [
+        naive_orbit(1, 1, m) for m in (3, 100000)]
+
+
+# Primes up to 13 divide some drawn A and B; those from 1,000 to 5,000 have
+# pure cycles past the short walk.
+ROW_PRIMES = [2, 3, 5, 7, 11, 13, *(p for p in _primes_upto(5000) if p > 1000)]
+
+
+@given(a=st.integers(-12, 12), b=st.integers(-12, 12).filter(lambda x: x != 0),
+       powers=st.lists(st.tuples(st.sampled_from(ROW_PRIMES), st.integers(1, 3)),
+                       min_size=1, max_size=3))
+@example(a=2, b=6, powers=[(2, 3), (3, 1), (1009, 1)])     # 2 | A and B; 3 | B, not A
+@example(a=6, b=-6, powers=[(2, 2), (3, 3), (4999, 1)])    # every p | B divides A
+@example(a=4, b=2, powers=[(2, 3), (5, 1), (7, 1)])        # a zero among the first T states
+@example(a=1, b=1, powers=[(1009, 1), (4999, 1), (13, 2)])  # a leftover past SPLIT_BOUND
+@settings(max_examples=150, deadline=None)
+def test_atlas_row_matches_orbit(a, b, powers):
+    m = math.prod(p ** e for p, e in powers)
+    (row,) = atlas_rows([a], [b], [m])
+    got = (row.tail_len, row.cycle_len, row.alpha)
+    assert got == modular._orbit(RecurrenceParams(a, b), m)
+    if m <= 3000:
+        assert got == naive_orbit(a, b, m)
+
+
+def test_atlas_bench_block_pinned():
+    csv = _write_atlas(range(-3, 4), range(-3, 4), range(2, 201), "csv")
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "f122ec98031cab4e132ee47f8c3692e62c91cabf1e7ef637dbee086a8e8addd7")
+
+
+def test_atlas_cache_stays_below_bound():
+    # Rows near 2^17 have parts past SPLIT_BOUND: 2^17 itself, leftover primes
+    # such as 131071, and 65537 in 2 * 65537. None of them is kept.
+    rows = atlas_rows([1], [1], range(2**17 - 2**10, 10**12))
+    for row in rows:
+        if row.m > 2**17 + 2**10:
+            break
+    orbits = rows.gi_frame.f_locals["orbits"]
+    assert orbits and max(orbits) < SPLIT_BOUND
 
 
 # --- the record writer -----------------------------------------------------------

@@ -495,8 +495,7 @@ def test_csv_cells_byte_exact(capsys, argv, line, expected_code):
     assert out.splitlines()[-1] == line
 
 
-def test_atlas_json_error_row_keeps_message(capsys):
-    # atlas writes no error rows: the row past the short walk carries its answer.
+def test_atlas_json_row_past_the_short_walk(capsys):
     code, out = run_cli(capsys, "atlas", "--A-range", "1", "--B-range", "1",
                         "--m-range", "3,100000")
     tail, cyc, alpha = naive_orbit(1, 1, 100000)
